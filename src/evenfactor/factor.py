@@ -8,10 +8,20 @@ element whose support touches every vertex.  Coverage shrinks under XOR
 meet-in-the-middle split over basis halves sound: any solution splits into
 half-combinations whose covers jointly reach every vertex, so pairing
 half-elements by complementary covers cannot miss one.
+
+Both edges at a degree-2 vertex lie in every even factor.  GF(2)
+elimination on those forced coordinates either proves that no cycle-space
+element contains them all (then no factor exists) or yields an offset x0
+containing them and a basis of the kernel K of elements avoiding them;
+every factor lies in the coset x0 ^ K.  The split stays sound with the
+offset folded into half A: cover(x0 ^ a ^ b) is a subset of
+cover(x0 ^ a) | cover(b), so a factor x0 ^ a ^ b is found by pairing x0 ^ a
+with b.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,9 +128,11 @@ def has_even_factor(
 ) -> EvenFactorResult:
     """Decide even-factor existence by searching the cycle space.
 
-    Exact within the caps: `max_dim` bounds the cycle-space dimension the
-    search will take on, `max_candidates` bounds the number of elements and
-    element pairs examined.  Exceeding either yields status "unknown".
+    Exact within the caps: `max_dim` bounds the dimension of the forced-edge
+    coset the exhaustive phases (full scan, meet in the middle) will take
+    on, `max_candidates` bounds the number of elements and element pairs
+    examined.  Exceeding either yields status "unknown".  The pruning steps
+    and the constructive pre-pass run whatever the dimension.
     """
     n = g.n
     if n == 0:
@@ -149,16 +161,40 @@ def has_even_factor(
     if union != full:
         return EvenFactorResult(NOT_EXISTS, None, 0)
 
-    d = len(basis)
-    if d > max_dim:
-        return EvenFactorResult(UNKNOWN, None, 0)
+    # both edges at a degree-2 vertex lie in every even factor, so the search
+    # narrows to the coset x0 ^ span(kernel) of elements containing them all
+    forced = 0
+    for v in range(n):
+        if g.adj[v].bit_count() == 2:
+            forced |= incident[v]
+    pivots: list[tuple[int, int]] = []
+    kernel: list[int] = []
+    for b in basis:
+        for p, row in pivots:
+            if b & p:
+                b ^= row
+        r = b & forced
+        if r:
+            pivots.append((r & -r, b))
+        else:
+            kernel.append(b)
+    x0 = 0
+    for p, row in pivots:
+        if ~x0 & p:
+            x0 ^= row
+    if x0 & forced != forced:
+        return EvenFactorResult(NOT_EXISTS, None, 0)
 
+    k = len(kernel)
     cost = 0
 
-    if 1 << d <= _FULL_ENUM_CAP:
-        cur = 0
-        for i in range(1, 1 << d):
-            cur ^= basis[(i & -i).bit_length() - 1]
+    if k <= max_dim and 1 << k <= _FULL_ENUM_CAP:
+        cur = x0
+        for i in range(1 << k):
+            if i:
+                cur ^= kernel[(i & -i).bit_length() - 1]
+            elif not x0:
+                continue  # the empty element covers nothing
             cost += 1
             if cost > max_candidates:
                 return EvenFactorResult(UNKNOWN, None, cost)
@@ -166,35 +202,25 @@ def has_even_factor(
                 return EvenFactorResult(EXISTS, _edge_mask_to_cert(cur, edges), cost)
         return EvenFactorResult(NOT_EXISTS, None, cost)
 
-    # cheap deterministic pre-pass: single cycles, the all-chords element,
-    # then pseudorandom combinations; any full-cover hit is already a factor
-    rng = SplitMix64(_PREPASS_SEED)
-    all_mask = 0
-    for b in basis:
-        all_mask ^= b
-    probes = basis + [all_mask]
-    for _ in range(_PREPASS_PROBES):
-        sel = rng.next_u64() & ((1 << d) - 1)
-        elem = 0
-        while sel:
-            low = sel & -sel
-            elem ^= basis[low.bit_length() - 1]
-            sel ^= low
-        probes.append(elem)
-    for elem in probes:
+    # cheap deterministic pre-pass; any full-cover hit is already a factor,
+    # so it runs whatever the dimension
+    for elem in _prepass_probes(x0, kernel):
         cost += 1
         if cost > max_candidates:
             return EvenFactorResult(UNKNOWN, None, cost)
         if cover(elem) == full:
             return EvenFactorResult(EXISTS, _edge_mask_to_cert(elem, edges), cost)
 
-    # meet in the middle over basis halves
-    d_a = d // 2
+    if k > max_dim:
+        return EvenFactorResult(UNKNOWN, None, cost)
+
+    # meet in the middle over kernel halves, the offset folded into half A
+    k_a = k // 2
     index: dict[int, list[int]] = {}
-    cur = 0
-    index.setdefault(cover(0), []).append(0)
-    for i in range(1, 1 << d_a):
-        cur ^= basis[(i & -i).bit_length() - 1]
+    cur = x0
+    index.setdefault(cover(cur), []).append(cur)
+    for i in range(1, 1 << k_a):
+        cur ^= kernel[(i & -i).bit_length() - 1]
         cost += 1
         if cost > max_candidates:
             return EvenFactorResult(UNKNOWN, None, cost)
@@ -204,21 +230,18 @@ def has_even_factor(
         index.setdefault(c, []).append(cur)
 
     superset_memo: dict[int, list[list[int]]] = {}
-    half_b = basis[d_a:]
+    half_b = kernel[k_a:]
     cur = 0
-    for i in range(1 << (d - d_a)):
+    for i in range(1 << (k - k_a)):
         if i:
             cur ^= half_b[(i & -i).bit_length() - 1]
         cost += 1
         if cost > max_candidates:
             return EvenFactorResult(UNKNOWN, None, cost)
-        cb = cover(cur)
-        if cb == full:
-            return EvenFactorResult(EXISTS, _edge_mask_to_cert(cur, edges), cost)
-        needed = full & ~cb
+        needed = full & ~cover(cur)
         buckets = superset_memo.get(needed)
         if buckets is None:
-            buckets = [v for k, v in index.items() if k & needed == needed]
+            buckets = [v for key, v in index.items() if key & needed == needed]
             superset_memo[needed] = buckets
         for bucket in buckets:
             for a_mask in bucket:
@@ -229,6 +252,28 @@ def has_even_factor(
                 if cover(x) == full:
                     return EvenFactorResult(EXISTS, _edge_mask_to_cert(x, edges), cost)
     return EvenFactorResult(NOT_EXISTS, None, cost)
+
+
+def _prepass_probes(x0: int, kernel: list[int]) -> Iterator[int]:
+    """The offset, its single-cycle shifts, the all-cycles element, then
+    pseudorandom combinations, each built only when asked for."""
+    if x0:
+        yield x0
+    all_mask = x0
+    for b in kernel:
+        yield x0 ^ b
+        all_mask ^= b
+    yield all_mask
+    rng = SplitMix64(_PREPASS_SEED)
+    width = (1 << len(kernel)) - 1
+    for _ in range(_PREPASS_PROBES):
+        sel = rng.next_u64() & width
+        elem = x0
+        while sel:
+            low = sel & -sel
+            elem ^= kernel[low.bit_length() - 1]
+            sel ^= low
+        yield elem
 
 
 def has_even_factor_naive(g: Graph) -> EvenFactorResult:

@@ -216,3 +216,28 @@ def test_10_graph6_roundtrip():
         if parse_graph6(write_graph6(g)) != g:
             bad += 1
     report("graph6-roundtrip", bad == 0, f"(10000 graphs, {bad} failures)")
+
+
+def test_11_paper_range_soundness_sweeps():
+    # the paper's own range: delta >= 3 at the size-route floor n = 6*delta - 4
+    t0 = time.time()
+    results = {}
+    for n, delta in ((14, 3), (20, 4)):
+        for which in ("edges", "spectral"):
+            rep = soundness_sweep(ns=[n], delta=delta, samples=200, seed=42, which=which)
+            results[(n, delta, which)] = (
+                len(rep.counterexamples),
+                rep.findings["unknown_rows"],
+                len(rep.rows),
+            )
+    dt = time.time() - t0
+    ok = (
+        all(cx == 0 and unk == 0 and rows == 200 for cx, unk, rows in results.values())
+        and dt < 60.0
+    )
+    report(
+        "paper-range-soundness-sweeps",
+        ok,
+        "; ".join(f"{k}: {v}" for k, v in results.items())
+        + f" as (cx, unknown, rows), {dt:.1f}s",
+    )

@@ -65,8 +65,9 @@ def test_pipeline_check_even_factor(capsys, monkeypatch):
 
 
 def test_check_even_factor_unknown_exits_4(capsys):
-    g6 = write_graph6(extremal(8, 2))
-    code, out, _ = run(capsys, ["check", "even-factor", "--graph6", g6, "--max-dim", "3"])
+    # no even factor, forced-edge coset of dimension 6
+    g6 = "KYMGg?@?WB_N"
+    code, out, _ = run(capsys, ["check", "even-factor", "--graph6", g6, "--max-dim", "5"])
     assert code == 4
     assert out.splitlines()[0] == "unknown"
 

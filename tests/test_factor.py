@@ -2,6 +2,8 @@
 the cycle-space search with the brute-force scan, and the odd-components
 condition with its implication on small even-order graphs."""
 
+import time
+
 import pytest
 
 from evenfactor.factor import (
@@ -24,6 +26,13 @@ from evenfactor.graphs import (
     path,
 )
 from evenfactor.rng import SplitMix64, random_connected_graph, random_graph_with_edges
+
+
+# every vertex on a cycle, three degree-2 vertices; the forced edges at
+# them leave vertex 4 no usable edge, so there is no even factor
+H7 = Graph.from_edges(
+    7, [(0, 2), (0, 5), (1, 2), (1, 3), (2, 4), (3, 4), (3, 6), (4, 5), (5, 6)]
+)
 
 
 def xor(a, b):
@@ -122,8 +131,11 @@ class TestOracle:
         assert has_even_factor(g).status == NOT_EXISTS
 
     def test_dim_cap_reports_unknown(self):
-        g = complete(6)  # dimension 10
+        # no factor (H7's vertex 4 is cut off by forced edges); the coset has
+        # dimension 6, so the exhaustive phases are past the cap
+        g = disjoint_union([H7, complete(5)])
         assert has_even_factor(g, max_dim=5).status == UNKNOWN
+        assert has_even_factor(g).status == NOT_EXISTS
 
     def test_k23_has_no_even_factor(self):
         # every vertex sits on a cycle, min degree 2, yet no even spanning
@@ -133,8 +145,8 @@ class TestOracle:
         assert has_even_factor_naive(k23).status == NOT_EXISTS
 
     def test_candidate_cap_reports_unknown(self):
-        k23 = Graph.from_edges(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])
-        res = has_even_factor(k23, max_candidates=2)
+        g = disjoint_union([H7, complete(5)])
+        res = has_even_factor(g, max_candidates=2)
         assert res.status == UNKNOWN
         assert res.search_cost == 3
 
@@ -169,6 +181,26 @@ class TestOracleAgreement:
             g = random_graph_with_edges(n, m, rng)
             assert has_even_factor(g).status == has_even_factor_naive(g).status
 
+    def test_subdivided_small_random(self):
+        # subdividing edges makes degree-2 vertices, whose edges are forced
+        rng = SplitMix64(2718)
+        with_forced = 0
+        for _ in range(250):
+            n = 4 + rng.randrange(4)
+            m = rng.randrange(min(16, n * (n - 1) // 2) + 1)
+            edges = random_graph_with_edges(n, m, rng).edges()
+            for _ in range(min(rng.randrange(4), len(edges))):
+                u, v = edges.pop(rng.randrange(len(edges)))
+                edges += [(u, n), (v, n)]
+                n += 1
+            g = Graph.from_edges(n, edges)
+            with_forced += 2 in g.degrees()
+            res = has_even_factor(g)
+            assert res.status == has_even_factor_naive(g).status
+            if res.status == EXISTS:
+                assert verify_even_factor(g, res.certificate)
+        assert with_forced > 150
+
     def test_monotone_under_edge_addition(self):
         rng = SplitMix64(4242)
         grown = 0
@@ -185,6 +217,40 @@ class TestOracleAgreement:
             grown += 1
             assert has_even_factor(g.with_edge(u, v)).status == EXISTS
         assert grown > 20
+
+
+def parity_gadget(q, k):
+    """Core a=0, b=1; k vertices adjacent to exactly a and b; K_q joined to a
+    by two edges.  b's forced degree is k, so a factor exists iff k is even."""
+    h0 = 2 + k
+    edges = [(c, 2 + i) for i in range(k) for c in (0, 1)]
+    edges += [(h0 + u, h0 + v) for u in range(q) for v in range(u + 1, q)]
+    edges += [(0, h0), (0, h0 + 1)]
+    return Graph.from_edges(h0 + q, edges)
+
+
+class TestForcedEdges:
+    def test_parity_gadget_family(self):
+        t0 = time.perf_counter()
+        for q in range(4, 21):
+            for k in (2, 3, 4, 5):
+                g = parity_gadget(q, k)
+                res = has_even_factor(g)
+                if k % 2:
+                    # odd forced parity at b: decided by elimination alone
+                    assert (res.status, res.search_cost) == (NOT_EXISTS, 0)
+                else:
+                    assert res.status == EXISTS
+                    assert verify_even_factor(g, res.certificate)
+        assert time.perf_counter() - t0 < 2.0
+
+    def test_forced_edges_alone_form_the_factor(self):
+        # the forced edges already are a Hamiltonian cycle: the offset itself
+        # is the certificate, found by the first candidate
+        g = cycle(9).with_edge(0, 4)
+        res = has_even_factor(g)
+        assert (res.status, res.search_cost) == (EXISTS, 1)
+        assert frozenset(res.certificate) == frozenset(cycle(9).edges())
 
 
 class TestCondition:
