@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -281,7 +282,14 @@ def main(argv: list[str] | None = None) -> int:
         "report": _cmd_report,
     }
     try:
-        return dispatch[args.command](args)
+        code = dispatch[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed the pipe (`| head`); point stdout at devnull so
+        # the flush at interpreter exit does not fail a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except GraphParseError as exc:
         print(f"parse-error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -117,7 +117,7 @@ def parse_graph6(text: str) -> Graph:
                     i = 0
             elif group >> shift & 1:
                 raise Graph6Error("padding bits must be zero", k)
-    return Graph(n, tuple(adj))
+    return Graph._trusted(n, tuple(adj))
 
 
 # --- edge-list text ----------------------------------------------------------

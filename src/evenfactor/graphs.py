@@ -20,10 +20,27 @@ def _norm_edge(u: int, v: int) -> Edge:
 
 @dataclass(frozen=True)
 class Graph:
-    """Immutable simple graph: no loops, no multi-edges, vertices 0..n-1."""
+    """Immutable simple graph: no loops, no multi-edges, vertices 0..n-1.
+
+    Validation happens once, at the trust boundary: a direct `Graph(n, adj)`
+    checks the vertex count, the adjacency length, the range of every mask,
+    loops and symmetry.  The builders in this package (`from_edges`,
+    `with_edge`, `complete`, `disjoint_union`, `join`, `parse_graph6` and
+    everything built on them) check their own arguments and then go through
+    `_trusted`, which skips that O(m) scan because their adjacency is a
+    simple graph by construction.
+    """
 
     n: int
     adj: tuple[int, ...]
+
+    @classmethod
+    def _trusted(cls, n: int, adj: tuple[int, ...]) -> "Graph":
+        """Wrap adjacency that is valid by construction, without validation."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "adj", adj)
+        return g
 
     def __post_init__(self) -> None:
         if self.n < 0:
@@ -47,6 +64,8 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[Edge]) -> "Graph":
+        if n < 0:
+            raise ValueError("vertex count must be non-negative")
         adj = [0] * n
         for u, v in edges:
             if u == v:
@@ -55,7 +74,7 @@ class Graph:
                 raise ValueError(f"edge {u}-{v} out of range for n={n}")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        return cls(n, tuple(adj))
+        return cls._trusted(n, tuple(adj))
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
@@ -94,12 +113,14 @@ class Graph:
         return out
 
     def with_edge(self, u: int, v: int) -> "Graph":
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            raise ValueError(f"edge {u}-{v} out of range for n={self.n}")
         if u == v or self.has_edge(u, v):
             raise ValueError(f"{u}-{v} is not a new edge")
         adj = list(self.adj)
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-        return Graph(self.n, tuple(adj))
+        return Graph._trusted(self.n, tuple(adj))
 
     def components(self, pool: int | None = None) -> list[int]:
         """Vertex masks of the connected components inside `pool`."""
@@ -158,7 +179,7 @@ def complete(n: int) -> Graph:
     if n < 0:
         raise ValueError("n must be non-negative")
     full = (1 << n) - 1
-    return Graph(n, tuple(full ^ (1 << v) for v in range(n)))
+    return Graph._trusted(n, tuple(full ^ (1 << v) for v in range(n)))
 
 
 def cycle(n: int) -> Graph:
@@ -178,7 +199,7 @@ def disjoint_union(parts: Sequence[Graph]) -> Graph:
     for g in parts:
         adj.extend(m << offset for m in g.adj)
         offset += g.n
-    return Graph(n, tuple(adj))
+    return Graph._trusted(n, tuple(adj))
 
 
 def join(g: Graph, h: Graph) -> Graph:
@@ -188,7 +209,7 @@ def join(g: Graph, h: Graph) -> Graph:
     h_mask = ((1 << n) - 1) ^ g_mask
     adj = [m | h_mask for m in g.adj]
     adj.extend((m << g.n) | g_mask for m in h.adj)
-    return Graph(n, tuple(adj))
+    return Graph._trusted(n, tuple(adj))
 
 
 @dataclass(frozen=True)

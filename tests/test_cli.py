@@ -3,7 +3,14 @@ byte-identical reruns."""
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import evenfactor
 from evenfactor.cli import main
 from evenfactor.graph6 import write_graph6
 from evenfactor.graphs import extremal
@@ -197,3 +204,36 @@ def test_same_argv_same_stdout(capsys):
     code1, out1, _ = run(capsys, argv)
     code2, out2, _ = run(capsys, argv)
     assert (code1, out1) == (code2, out2)
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv, stdin",
+    [
+        # the README pipeline `... | evenfactor check even-factor | head -2`
+        (["check", "even-factor"], write_graph6(extremal(8, 2))),
+        # far more than a pipe buffer holds, so the writer must hit the close
+        (["gen", "extremal", "--n", "400", "--delta", "2", "--format", "edgelist"], ""),
+    ],
+    ids=["check-pipeline", "large-gen"],
+)
+def test_reader_closing_pipe_exits_quietly(argv, stdin, unbuffered):
+    src = str(Path(evenfactor.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "evenfactor.cli", *argv],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdin.write(stdin.encode())
+    proc.stdin.close()
+    head = [proc.stdout.readline() for _ in range(2)]
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
+    assert all(line.endswith(b"\n") for line in head)

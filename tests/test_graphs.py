@@ -2,6 +2,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evenfactor.graph6 import (
+    GraphParseError,
+    parse_edge_list,
+    parse_graph6,
+    write_edge_list,
+    write_graph6,
+)
 from evenfactor.graphs import (
     FamilySpec,
     Graph,
@@ -148,6 +155,8 @@ def test_graph_validation():
         Graph(2, (0b10, 0b00))  # asymmetric
     with pytest.raises(ValueError):
         Graph.from_edges(2, [(0, 2)])
+    with pytest.raises(ValueError):
+        Graph.from_edges(-1, [])
 
 
 def test_with_edge_and_non_edges():
@@ -157,3 +166,116 @@ def test_with_edge_and_non_edges():
     assert g2.edge_count == 5
     with pytest.raises(ValueError):
         g2.with_edge(0, 2)
+    for u, v in [(0, 5), (5, 0), (-1, 2), (2, -1), (-1, -1)]:
+        with pytest.raises(ValueError):
+            cycle(5).with_edge(u, v)
+
+
+# --- trusted constructors ----------------------------------------------------
+# The builders skip `Graph.__post_init__`; full validation of a direct
+# `Graph(n, adj)` is the reference their outputs are checked against.
+
+
+def assert_valid(g):
+    assert type(g) is Graph
+    assert Graph(g.n, g.adj) == g
+
+
+@st.composite
+def graphs(draw, max_n=8):
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Graph.from_edges(n, edges)
+
+
+@given(st.integers(min_value=0, max_value=9), st.data())
+@settings(max_examples=80, deadline=None)
+def test_from_edges_output_is_valid(n, data):
+    # either orientation, repeats allowed
+    vertex = st.integers(min_value=0, max_value=max(n - 1, 0))
+    edges = data.draw(
+        st.lists(st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1]))
+        if n >= 2 else st.just([])
+    )
+    g = Graph.from_edges(n, edges)
+    assert_valid(g)
+    assert set(g.edges()) == {(min(e), max(e)) for e in edges}
+
+
+@given(st.integers(min_value=0, max_value=14))
+@settings(max_examples=30, deadline=None)
+def test_named_families_are_valid(n):
+    assert_valid(complete(n))
+    assert_valid(path(n))
+    if n >= 3:
+        assert_valid(cycle(n))
+
+
+@given(st.lists(graphs(max_n=5), max_size=4), graphs(), graphs())
+@settings(max_examples=60, deadline=None)
+def test_union_and_join_outputs_are_valid(parts, g, h):
+    assert_valid(disjoint_union(parts))
+    assert_valid(join(g, h))
+
+
+@given(
+    st.integers(min_value=0, max_value=4),
+    st.lists(st.integers(min_value=1, max_value=5), max_size=4),
+)
+@settings(max_examples=60, deadline=None)
+def test_build_family_output_is_valid(s, parts):
+    assert_valid(build_family(FamilySpec(s, tuple(sorted(parts, reverse=True)))))
+
+
+@given(st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=10))
+@settings(max_examples=40, deadline=None)
+def test_extremal_output_is_valid(delta, extra):
+    assert_valid(extremal(2 * delta + extra, delta))
+
+
+@given(graphs(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_with_edge_output_is_valid(g, data):
+    missing = g.non_edges()
+    if missing:
+        u, v = data.draw(st.sampled_from(missing))
+        if data.draw(st.booleans()):
+            u, v = v, u
+        g2 = g.with_edge(u, v)
+        assert_valid(g2)
+        assert g2.edge_count == g.edge_count + 1
+
+
+@given(graphs(max_n=12))
+@settings(max_examples=60, deadline=None)
+def test_parsed_roundtrips_are_valid(g):
+    assert_valid(parse_graph6(write_graph6(g)))
+    assert_valid(parse_edge_list(write_edge_list(g)))
+
+
+@given(st.text(alphabet=[chr(c) for c in range(63, 127)], max_size=10))
+@settings(max_examples=150, deadline=None)
+def test_parse_graph6_arbitrary_input_is_valid_or_rejected(text):
+    try:
+        g = parse_graph6(text)
+    except GraphParseError:
+        return
+    assert_valid(g)
+
+
+_line = st.one_of(
+    st.tuples(st.integers(-2, 7), st.integers(-2, 7)).map(lambda e: f"{e[0]} {e[1]}"),
+    st.integers(-2, 7).map(str),
+    st.sampled_from(["", "# note", "1 2 3", "x y"]),
+)
+
+
+@given(st.lists(_line, max_size=8))
+@settings(max_examples=150, deadline=None)
+def test_parse_edge_list_arbitrary_input_is_valid_or_rejected(lines):
+    try:
+        g = parse_edge_list("\n".join(lines))
+    except GraphParseError:
+        return
+    assert_valid(g)
