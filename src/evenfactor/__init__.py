@@ -60,7 +60,6 @@ from .spectral import (
     SpectralResult,
     char_poly,
     largest_real_root,
-    quotient_extremal,
     quotient_merged_core,
     quotient_small_cliques,
     spectral_radius,

@@ -15,7 +15,13 @@ import os
 import sys
 from pathlib import Path
 
-from .factor import UNKNOWN, check_yan_kano_condition, has_even_factor
+from .factor import (
+    DEFAULT_MAX_CANDIDATES,
+    DEFAULT_MAX_DIM,
+    UNKNOWN,
+    check_yan_kano_condition,
+    has_even_factor,
+)
 from .graph6 import (
     Graph6Error,
     GraphParseError,
@@ -101,8 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
     check_ef = check_sub.add_parser("even-factor")
     check_ef.add_argument("--graph6")
     check_ef.add_argument("--file")
-    check_ef.add_argument("--max-dim", type=int, default=40)
-    check_ef.add_argument("--max-candidates", type=int, default=2**30)
+    check_ef.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM)
+    check_ef.add_argument("--max-candidates", type=int, default=DEFAULT_MAX_CANDIDATES)
     check_cond = check_sub.add_parser("condition")
     check_cond.add_argument("--graph6")
     check_cond.add_argument("--file")

@@ -316,26 +316,6 @@ def verify_even_factor(g: Graph, certificate: tuple[Edge, ...]) -> bool:
     return all(x >= 2 and x % 2 == 0 for x in deg)
 
 
-def _odd_component_count(adj: tuple[int, ...], pool: int) -> int:
-    odd = 0
-    while pool:
-        seed = pool & -pool
-        comp = seed
-        frontier = seed
-        while frontier:
-            nxt = 0
-            m = frontier
-            while m:
-                b = m & -m
-                nxt |= adj[b.bit_length() - 1]
-                m ^= b
-            frontier = nxt & pool & ~comp
-            comp |= frontier
-        pool &= ~comp
-        odd += comp.bit_count() & 1
-    return odd
-
-
 def check_yan_kano_condition(g: Graph) -> ConditionReport:
     """Test o(G-S) < |S| for every S with |S| >= 2 (the Yan-Kano sufficient
     condition for an even factor in even-order graphs).  The first violating
@@ -343,12 +323,12 @@ def check_yan_kano_condition(g: Graph) -> ConditionReport:
     if g.n > 24:
         raise ValueError(f"condition check capped at 24 vertices, got {g.n}")
     full = (1 << g.n) - 1
-    adj = g.adj
     for smask in range(3, 1 << g.n):
         size = smask.bit_count()
-        if size < 2:
+        # o(G-S) <= n - |S| < |S| once 2|S| > n, so no such S violates
+        if size < 2 or 2 * size > g.n:
             continue
-        o = _odd_component_count(adj, full & ~smask)
+        o = sum(c.bit_count() & 1 for c in g.components(full & ~smask))
         if o >= size:
             return ConditionReport(
                 holds=False,

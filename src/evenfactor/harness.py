@@ -8,13 +8,21 @@ column is the one timing-derived (hence nondeterministic) field.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from math import comb
 from typing import Iterable, Iterator
 
-from .factor import EXISTS, UNKNOWN, check_yan_kano_condition, has_even_factor
+from .factor import (
+    DEFAULT_MAX_CANDIDATES,
+    DEFAULT_MAX_DIM,
+    EXISTS,
+    UNKNOWN,
+    check_yan_kano_condition,
+    has_even_factor,
+)
 from .graph6 import write_graph6
 from .graphs import FamilySpec, Graph, build_family, extremal, merged_family
 from .rng import SplitMix64, complete_minus_random_edges
@@ -50,6 +58,9 @@ CSV_COLUMNS = [
 ]
 
 RHO_STRICT_MARGIN = 1e-9
+
+# draws the sampler may reject before it gives up on one sample
+RETRY_BUDGET = 500
 
 
 @dataclass
@@ -197,12 +208,11 @@ def lemma_merge_sweep(
 # --- soundness sweep -----------------------------------------------------------
 
 
-def _evaluate_oracle(args) -> tuple[int, str, int, int]:
-    g, max_dim, max_candidates = args
+def _evaluate_oracle(g: Graph) -> tuple[str, int, int]:
     t0 = time.perf_counter()
-    res = has_even_factor(g, max_dim=max_dim, max_candidates=max_candidates)
+    res = has_even_factor(g)
     ms = int((time.perf_counter() - t0) * 1000)
-    return (res.status == EXISTS, res.status, res.search_cost, ms)
+    return (res.status, res.search_cost, ms)
 
 
 def soundness_sweep(
@@ -211,16 +221,18 @@ def soundness_sweep(
     samples: int,
     seed: int,
     which: str = "edges",
-    max_dim: int = 40,
-    max_candidates: int = 2**30,
-    retry_budget: int = 500,
     jobs: int = 1,
 ) -> SweepReport:
     """Sample connected graphs meeting the requested threshold (uniform over
     the complement-edge budget), then assert the oracle finds an even factor
-    on every non-extremal draw.  Extremal draws are logged, not asserted."""
+    on every non-extremal draw.  Extremal draws are logged, not asserted.
+
+    The oracle runs in up to `jobs` worker processes, never more than there
+    are CPUs or draws; the rows do not depend on `jobs`."""
     if which not in ("edges", "spectral"):
         raise ValueError(f"which must be edges|spectral, got {which!r}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     ns = list(ns)
     report = SweepReport(
         campaign=f"soundness_{which}",
@@ -230,8 +242,8 @@ def soundness_sweep(
             "delta": delta,
             "samples": samples,
             "which": which,
-            "max_dim": max_dim,
-            "max_candidates": max_candidates,
+            "max_dim": DEFAULT_MAX_DIM,
+            "max_candidates": DEFAULT_MAX_CANDIDATES,
         },
     )
     rng = SplitMix64(seed)
@@ -243,7 +255,7 @@ def soundness_sweep(
         budget = comb(n, 2) - e_thr
         for _ in range(samples):
             drawn = None
-            for _attempt in range(retry_budget):
+            for _attempt in range(RETRY_BUDGET):
                 k = rng.randrange(budget + 1)
                 g = complete_minus_random_edges(n, k, rng)
                 if (g.min_degree() or 0) < delta or not g.is_connected():
@@ -260,15 +272,17 @@ def soundness_sweep(
             is_ext = recognize_extremal(g) == (n, delta)
             accepted.append((g, rho, e_thr, rho_thr, is_ext))
 
-    oracle_args = [(g, max_dim, max_candidates) for g, *_ in accepted]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_evaluate_oracle, oracle_args, chunksize=8))
+    graphs = [g for g, *_ in accepted]
+    # a fork-start pool launches every worker at the first submit
+    workers = min(jobs, os.cpu_count() or 1, len(graphs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(pool.map(_evaluate_oracle, graphs, chunksize=8))
     else:
-        outcomes = [_evaluate_oracle(a) for a in oracle_args]
+        outcomes = [_evaluate_oracle(g) for g in graphs]
 
     unknowns = 0
-    for row_id, ((g, rho, e_thr, rho_thr, is_ext), (ok, status, cost, ms)) in enumerate(
+    for row_id, ((g, rho, e_thr, rho_thr, is_ext), (status, cost, ms)) in enumerate(
         zip(accepted, outcomes)
     ):
         row = _row(
@@ -300,12 +314,7 @@ def soundness_sweep(
 # --- tightness report ----------------------------------------------------------
 
 
-def tightness_report(
-    n: int,
-    delta: int,
-    max_dim: int = 40,
-    max_candidates: int = 2**30,
-) -> SweepReport:
+def tightness_report(n: int, delta: int) -> SweepReport:
     """Equality rows for the extremal graph, the failing odd-components
     condition with its witness, the oracle's (unasserted) finding on the
     extremal graph itself, and guarantee-plus-oracle confirmation for every
@@ -324,11 +333,11 @@ def tightness_report(
     rho = spectral_radius(g).rho
     cond = check_yan_kano_condition(g)
     core = tuple(range(delta))
-    oracle = has_even_factor(g, max_dim=max_dim, max_candidates=max_candidates)
+    oracle = has_even_factor(g)
 
     checks = {
         "edge_threshold_equality": g.edge_count == e_thr,
-        "spectral_threshold_equality": abs(rho - rho_thr) <= 1e-8,
+        "spectral_threshold_equality": abs(rho - rho_thr) <= RHO_EQUALITY_TOL,
         "condition_fails": not cond.holds,
         "condition_witness_is_core": cond.witness == core,
         "witness_odd_components_equal_delta": cond.witness_odd_components == delta,
@@ -373,7 +382,7 @@ def tightness_report(
         # rises; the routes stay valid for min degree >= delta, which the
         # delta override expresses
         vd = verdict(g2, which="both", delta=delta)
-        res = has_even_factor(g2, max_dim=max_dim, max_candidates=max_candidates)
+        res = has_even_factor(g2)
         guaranteed = vd.guarantee in (GUARANTEED_BY_EDGES, GUARANTEED_BY_SPECTRAL)
         row = _row(
             "tightness",

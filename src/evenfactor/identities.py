@@ -18,13 +18,8 @@ from math import isfinite
 from typing import Iterable, Sequence
 
 from .graphs import FamilySpec, build_family, merged_family
-from .spectral import (
-    char_poly,
-    quotient_extremal,
-    quotient_merged_core,
-    quotient_small_cliques,
-)
-from .thresholds import spectral_threshold
+from .spectral import char_poly, quotient_merged_core, quotient_small_cliques
+from .thresholds import edge_route_floor, spectral_route_floor, spectral_threshold
 
 FLOAT_RTOL = 1e-9
 
@@ -229,7 +224,7 @@ def check_phi_diff_case1(
     """Charpoly gap between the merged-core and extremal quotients at sample
     points; 3 exact points certify the quadratic identity."""
     p_merged = char_poly(quotient_merged_core(n, s))
-    p_star = char_poly(quotient_extremal(n, delta))
+    p_star = char_poly(quotient_merged_core(n, delta))
     out = []
     for x in xs:
         params = {"n": n, "s": s, "delta": delta, "x": x}
@@ -246,7 +241,7 @@ def check_phi_diff_case3(
     spectral threshold theta; also requires theta to be a genuine root of the
     extremal cubic."""
     p_small = char_poly(quotient_small_cliques(n, s, delta))
-    p_star = char_poly(quotient_extremal(n, delta))
+    p_star = char_poly(quotient_merged_core(n, delta))
     if theta is None:
         theta = spectral_threshold(n, delta)
     lhs = p_small(theta) - p_star(theta)
@@ -275,7 +270,7 @@ def check_theta_gap_poly_identity(
     """Exact-point certification of the same quadratic gap (the theta check
     above is numeric; this one is a proof at each sample point)."""
     p_small = char_poly(quotient_small_cliques(n, s, delta))
-    p_star = char_poly(quotient_extremal(n, delta))
+    p_star = char_poly(quotient_merged_core(n, delta))
     out = []
     for x in xs:
         params = {"n": n, "s": s, "delta": delta, "x": x}
@@ -467,18 +462,6 @@ def check_sign_claims(n: int, s: int, delta: int) -> list[IdentityCheck]:
 
 
 # --- the grid ------------------------------------------------------------------
-
-
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
-
-
-def edge_route_floor(delta: int) -> int:
-    return max(6 * delta - 4, _ceil_div(delta**2 + 7 * delta + 4, 6))
-
-
-def spectral_route_floor(delta: int) -> int:
-    return max(5 * delta - 3, _ceil_div(delta**2 + 3 * delta, 3))
 
 
 def run_identity_grid(delta_max: int = 8, n_extra: int = 20) -> list[IdentityCheck]:

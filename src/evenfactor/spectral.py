@@ -106,7 +106,8 @@ class QuotientMatrix3:
 
 
 def quotient_merged_core(n: int, s: int) -> QuotientMatrix3:
-    """Quotient of K_s v (K_{n-2s+1} u (s-1)K_1) over its three blocks."""
+    """Quotient of K_s v (K_{n-2s+1} u (s-1)K_1) over its three blocks; at
+    s = delta, the quotient of the threshold-attaining graph."""
     if s < 2 or n - 2 * s + 1 < 1:
         raise ValueError(f"blocks empty for n={n}, s={s}")
     return QuotientMatrix3(
@@ -117,12 +118,6 @@ def quotient_merged_core(n: int, s: int) -> QuotientMatrix3:
         ),
         block_sizes=(s, n - 2 * s + 1, s - 1),
     )
-
-
-def quotient_extremal(n: int, delta: int) -> QuotientMatrix3:
-    """Same partition shape with the core sized by the minimum degree: the
-    quotient of the threshold-attaining graph."""
-    return quotient_merged_core(n, delta)
 
 
 def quotient_small_cliques(n: int, s: int, delta: int) -> QuotientMatrix3:

@@ -12,12 +12,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .graphs import Graph
-from .spectral import (
-    char_poly,
-    largest_real_root,
-    quotient_extremal,
-    spectral_radius,
-)
+from .spectral import char_poly, largest_real_root, quotient_merged_core, spectral_radius
 
 GUARANTEED_BY_EDGES = "even_factor_guaranteed_by_1.1"
 GUARANTEED_BY_SPECTRAL = "even_factor_guaranteed_by_1.2"
@@ -39,19 +34,33 @@ def edge_threshold(n: int, delta: int) -> int:
 def spectral_threshold(n: int, delta: int) -> float:
     """Spectral radius of the extremal graph, as the largest root of the
     quotient characteristic cubic; always exceeds n - delta."""
-    poly = char_poly(quotient_extremal(n, delta))
+    poly = char_poly(quotient_merged_core(n, delta))
     return largest_real_root(poly, float(n - delta))
 
 
+def _ceil_div(a: int, b: int) -> int:
+    return -(-a // b)
+
+
+def edge_route_floor(delta: int) -> int:
+    """Least n with n >= 6*delta-4 and 6n >= delta^2+7*delta+4 (route 1.1)."""
+    return max(6 * delta - 4, _ceil_div(delta**2 + 7 * delta + 4, 6))
+
+
+def spectral_route_floor(delta: int) -> int:
+    """Least n with n >= 5*delta-3 and 3n >= delta^2+3*delta (route 1.2)."""
+    return max(5 * delta - 3, _ceil_div(delta**2 + 3 * delta, 3))
+
+
 def applicability(n: int, delta: int, theorem: str) -> bool:
-    """Hypothesis check for a guarantee route, in cleared-denominator
-    integer arithmetic.  `theorem` is "1.1" (size) or "1.2" (spectral)."""
+    """Hypothesis check for a guarantee route: n even and at least the
+    route's floor.  `theorem` is "1.1" (size) or "1.2" (spectral)."""
     if delta < 2:
         raise ValueError(f"routes require minimum degree at least 2, got {delta}")
     if theorem == "1.1":
-        return n % 2 == 0 and n >= 6 * delta - 4 and 6 * n >= delta**2 + 7 * delta + 4
+        return n % 2 == 0 and n >= edge_route_floor(delta)
     if theorem == "1.2":
-        return n % 2 == 0 and n >= 5 * delta - 3 and 3 * n >= delta**2 + 3 * delta
+        return n % 2 == 0 and n >= spectral_route_floor(delta)
     raise ValueError(f"unknown theorem {theorem!r}, expected '1.1' or '1.2'")
 
 

@@ -171,6 +171,20 @@ def test_sweep_soundness(capsys, tmp_path):
     assert len(lines) == 26
 
 
+def test_sweep_jobs_zero_exits_2(capsys, tmp_path):
+    out_path = tmp_path / "j0.csv"
+    code, _, err = run(
+        capsys,
+        [
+            "--jobs", "0", "sweep", "soundness", "--n", "8", "--delta", "2",
+            "--samples", "5", "--out", str(out_path),
+        ],
+    )
+    assert code == 2
+    assert err.startswith("usage-error:")
+    assert not out_path.exists()
+
+
 def test_sweep_rerun_is_byte_identical_modulo_timing(capsys, tmp_path):
     argv = [
         "sweep", "soundness", "--n", "8", "--delta", "2",

@@ -22,6 +22,7 @@ from evenfactor.graphs import (
     cycle,
     disjoint_union,
     extremal,
+    join,
     odd_components_minus,
     path,
 )
@@ -281,6 +282,27 @@ class TestCondition:
             if not rep.holds:
                 assert odd_components_minus(g, rep.witness) == rep.witness_odd_components
                 assert rep.witness_odd_components >= len(rep.witness) >= 2
+
+    def test_matches_brute_force_over_every_s(self):
+        # a wrong "holds" must fail too, not only a wrong witness; K_{k,k}
+        # first violates at a side, |S| = n/2, the edge of the 2|S| > n skip
+        def reference(g):
+            for smask in range(1 << g.n):
+                s = [v for v in range(g.n) if smask >> v & 1]
+                if len(s) >= 2 and odd_components_minus(g, s) >= len(s):
+                    return (False, tuple(s), odd_components_minus(g, s))
+            return (True, None, None)
+
+        graphs = [join(Graph.from_edges(k, []), Graph.from_edges(k, [])) for k in range(2, 6)]
+        rng = SplitMix64(2020)
+        for _ in range(100):
+            n = 1 + rng.randrange(10)
+            graphs.append(random_graph_with_edges(n, rng.randrange(n * (n - 1) // 2 + 1), rng))
+        for g in graphs:
+            rep = check_yan_kano_condition(g)
+            assert (rep.holds, rep.witness, rep.witness_odd_components) == reference(g)
+        k55 = check_yan_kano_condition(graphs[3])
+        assert k55.witness == (0, 1, 2, 3, 4) and k55.witness_odd_components == 5
 
     def test_size_cap(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from evenfactor import harness
 from evenfactor.factor import EXISTS
 from evenfactor.graph6 import parse_graph6
 from evenfactor.graphs import FamilySpec, build_family, merged_family
@@ -84,6 +85,47 @@ class TestSoundnessSweep:
         a = soundness_sweep(ns=[8], delta=2, samples=30, seed=9, which="edges", jobs=1)
         b = soundness_sweep(ns=[8], delta=2, samples=30, seed=9, which="edges", jobs=2)
         assert rows_without_timing(a) == rows_without_timing(b)
+
+    def test_jobs_below_one_rejected(self):
+        for jobs in (0, -3):
+            with pytest.raises(ValueError):
+                soundness_sweep(ns=[8], delta=2, samples=5, seed=9, jobs=jobs)
+
+    @pytest.mark.parametrize(
+        "jobs, cpus, samples, workers",
+        [
+            (64, 4, 30, 4),  # capped by the CPU count
+            (64, 128, 3, 3),  # capped by the number of draws
+            (3, 8, 30, 3),
+            (4, None, 30, None),  # unknown CPU count: one CPU, no pool
+            (2, 8, 1, None),  # one draw: no pool
+        ],
+    )
+    def test_worker_count_is_bounded(self, monkeypatch, jobs, cpus, samples, workers):
+        started = []
+
+        class RecordingPool:
+            """Records the worker count and runs the work inline; starts no process."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+        rep = soundness_sweep(ns=[8], delta=2, samples=samples, seed=9, jobs=jobs)
+        assert started == ([] if workers is None else [workers])
+        assert len(rep.rows) == samples
+        seq = soundness_sweep(ns=[8], delta=2, samples=samples, seed=9, jobs=1)
+        assert rows_without_timing(rep) == rows_without_timing(seq)
 
     def test_rows_recompute_from_graph6(self):
         rep = soundness_sweep(ns=[8], delta=2, samples=40, seed=3, which="edges")

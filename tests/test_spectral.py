@@ -16,7 +16,6 @@ from evenfactor.spectral import (
     adjacency_matrix,
     char_poly,
     largest_real_root,
-    quotient_extremal,
     quotient_merged_core,
     quotient_small_cliques,
     spectral_radius,
@@ -96,11 +95,18 @@ def test_nonconvergence_is_explicit():
 
 class TestQuotients:
     def test_extremal_8_2_rows(self):
-        q = quotient_extremal(8, 2)
+        q = quotient_merged_core(8, 2)
         assert q.rows == ((1, 5, 1), (2, 4, 0), (2, 0, 0))
 
     def test_merged_core_coincides_at_delta(self):
-        assert quotient_merged_core(8, 2) == quotient_extremal(8, 2)
+        # at s = delta the merged core is the extremal graph's quotient
+        q = quotient_merged_core(8, 2)
+        g = extremal(8, 2)
+        blocks = [range(0, 2), range(2, 7), range(7, 8)]
+        for bi, block in enumerate(blocks):
+            for v in block:
+                counts = [sum(1 for u in blk if g.has_edge(u, v)) for blk in blocks]
+                assert counts == list(q.rows[bi])
 
     def test_small_cliques_rows(self):
         assert quotient_small_cliques(14, 3, 4).rows == (
@@ -111,7 +117,7 @@ class TestQuotients:
 
     def test_invalid_blocks_rejected(self):
         with pytest.raises(ValueError):
-            quotient_extremal(5, 3)
+            quotient_merged_core(5, 3)
         with pytest.raises(ValueError):
             quotient_merged_core(8, 1)
         with pytest.raises(ValueError):
@@ -121,7 +127,7 @@ class TestQuotients:
         # equitability in the concrete graph: each row sums to the degree of
         # any vertex in its block
         cases = [
-            (quotient_extremal(10, 3), FamilySpec(3, (5, 1, 1))),
+            (quotient_merged_core(10, 3), FamilySpec(3, (5, 1, 1))),
             (quotient_small_cliques(14, 3, 4), FamilySpec(3, (7, 2, 2))),
             (quotient_merged_core(12, 4), FamilySpec(4, (5, 1, 1, 1))),
         ]
@@ -152,7 +158,7 @@ class TestQuotients:
 
 class TestCharPoly:
     def test_extremal_8_2(self):
-        p = char_poly(quotient_extremal(8, 2))
+        p = char_poly(quotient_merged_core(8, 2))
         assert p.coefficients() == (1, -5, -8, 8)
 
     def test_zero_matrix(self):
@@ -168,7 +174,7 @@ class TestCharPoly:
             for delta in range(2, 13):
                 if n < 2 * delta:
                     continue
-                p = char_poly(quotient_extremal(n, delta))
+                p = char_poly(quotient_merged_core(n, delta))
                 assert p.coefficients() == (
                     1,
                     -(n - delta - 1),
@@ -196,7 +202,7 @@ class TestCharPoly:
         x = sympy.symbols("x")
         for builder, args in [
             (quotient_merged_core, (17, 4)),
-            (quotient_extremal, (20, 5)),
+            (quotient_merged_core, (20, 5)),
             (quotient_small_cliques, (18, 3, 5)),
         ]:
             q = builder(*args)
@@ -235,7 +241,7 @@ class TestLargestRealRoot:
             for delta in (2, 3, 4):
                 if n < 2 * delta:
                     continue
-                p = char_poly(quotient_extremal(n, delta))
+                p = char_poly(quotient_merged_core(n, delta))
                 assert largest_real_root(p, float(n - delta)) > n - delta
 
 
@@ -245,6 +251,6 @@ def test_quotient_root_equals_graph_radius():
         g = extremal(n, delta)
         rho = spectral_radius(g).rho
         root = largest_real_root(
-            char_poly(quotient_extremal(n, delta)), float(n - delta)
+            char_poly(quotient_merged_core(n, delta)), float(n - delta)
         )
         assert abs(rho - root) <= 1e-8

@@ -60,6 +60,13 @@ def test_applicability():
         applicability(8, 2, "2.1")
 
 
+def test_route_floors_have_one_home():
+    from evenfactor import identities, thresholds
+
+    assert identities.edge_route_floor is thresholds.edge_route_floor
+    assert identities.spectral_route_floor is thresholds.spectral_route_floor
+
+
 def test_applicability_quadratic_floors_integer_exact():
     # cleared-denominator comparisons agree with rational arithmetic
     from fractions import Fraction
