@@ -17,12 +17,19 @@ every factor lies in the coset x0 ^ K.  The split stays sound with the
 offset folded into half A: cover(x0 ^ a ^ b) is a subset of
 cover(x0 ^ a) | cover(b), so a factor x0 ^ a ^ b is found by pairing x0 ^ a
 with b.
+
+The coset is searched in phases: a full scan when it has at most
+_FULL_ENUM_CAP elements, otherwise a seeded pre-pass of probes and then meet
+in the middle.  Every phase charges one per element examined against
+`max_candidates` (in meet in the middle, one per half-B element and one per
+pair), in that order, and the first full cover ends the search.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -126,13 +133,11 @@ def has_even_factor(
     max_dim: int = DEFAULT_MAX_DIM,
     max_candidates: int = DEFAULT_MAX_CANDIDATES,
 ) -> EvenFactorResult:
-    """Decide even-factor existence by searching the cycle space.
+    """Decide even-factor existence by searching the forced-edge coset.
 
-    Exact within the caps: `max_dim` bounds the dimension of the forced-edge
-    coset the exhaustive phases (full scan, meet in the middle) will take
-    on, `max_candidates` bounds the number of elements and element pairs
-    examined.  Exceeding either yields status "unknown".  The pruning steps
-    and the constructive pre-pass run whatever the dimension.
+    Exact within the caps: `max_dim` bounds the coset dimension the exhaustive
+    phases (full scan, meet in the middle) take on, `max_candidates` the
+    charge of the module docstring; past either the status is "unknown".
     """
     n = g.n
     if n == 0:
@@ -188,70 +193,64 @@ def has_even_factor(
     k = len(kernel)
     cost = 0
 
-    if k <= max_dim and 1 << k <= _FULL_ENUM_CAP:
-        cur = x0
-        for i in range(1 << k):
-            if i:
-                cur ^= kernel[(i & -i).bit_length() - 1]
-            elif not x0:
-                continue  # the empty element covers nothing
+    def search(candidates: Iterable[int], on_miss=None) -> EvenFactorResult | None:
+        nonlocal cost
+        for elem in candidates:
             cost += 1
             if cost > max_candidates:
                 return EvenFactorResult(UNKNOWN, None, cost)
-            if cover(cur) == full:
-                return EvenFactorResult(EXISTS, _edge_mask_to_cert(cur, edges), cost)
-        return EvenFactorResult(NOT_EXISTS, None, cost)
+            c = cover(elem)
+            if c == full:
+                return EvenFactorResult(EXISTS, _edge_mask_to_cert(elem, edges), cost)
+            if on_miss:
+                on_miss(elem, c)
+        return None
+
+    if k <= max_dim and 1 << k <= _FULL_ENUM_CAP:
+        # filter drops the empty element, which covers nothing
+        found = search(filter(None, _span(x0, kernel)))
+        return found or EvenFactorResult(NOT_EXISTS, None, cost)
 
     # cheap deterministic pre-pass; any full-cover hit is already a factor,
     # so it runs whatever the dimension
-    for elem in _prepass_probes(x0, kernel):
-        cost += 1
-        if cost > max_candidates:
-            return EvenFactorResult(UNKNOWN, None, cost)
-        if cover(elem) == full:
-            return EvenFactorResult(EXISTS, _edge_mask_to_cert(elem, edges), cost)
-
+    found = search(_prepass_probes(x0, kernel))
+    if found:
+        return found
     if k > max_dim:
         return EvenFactorResult(UNKNOWN, None, cost)
 
-    # meet in the middle over kernel halves, the offset folded into half A
+    # meet in the middle over kernel halves, the offset folded into half A;
+    # the offset itself was a pre-pass probe, so it is indexed uncharged
     k_a = k // 2
-    index: dict[int, list[int]] = {}
-    cur = x0
-    index.setdefault(cover(cur), []).append(cur)
-    for i in range(1, 1 << k_a):
-        cur ^= kernel[(i & -i).bit_length() - 1]
-        cost += 1
-        if cost > max_candidates:
-            return EvenFactorResult(UNKNOWN, None, cost)
-        c = cover(cur)
-        if c == full:
-            return EvenFactorResult(EXISTS, _edge_mask_to_cert(cur, edges), cost)
-        index.setdefault(c, []).append(cur)
+    index: dict[int, list[int]] = {cover(x0): [x0]}
+    found = search(
+        islice(_span(x0, kernel[:k_a]), 1, None),
+        on_miss=lambda a, c: index.setdefault(c, []).append(a),
+    )
+    if found:
+        return found
 
-    superset_memo: dict[int, list[list[int]]] = {}
-    half_b = kernel[k_a:]
-    cur = 0
-    for i in range(1 << (k - k_a)):
-        if i:
-            cur ^= half_b[(i & -i).bit_length() - 1]
-        cost += 1
-        if cost > max_candidates:
-            return EvenFactorResult(UNKNOWN, None, cost)
-        needed = full & ~cover(cur)
-        buckets = superset_memo.get(needed)
-        if buckets is None:
-            buckets = [v for key, v in index.items() if key & needed == needed]
-            superset_memo[needed] = buckets
-        for bucket in buckets:
-            for a_mask in bucket:
-                cost += 1
-                if cost > max_candidates:
-                    return EvenFactorResult(UNKNOWN, None, cost)
-                x = a_mask ^ cur
-                if cover(x) == full:
-                    return EvenFactorResult(EXISTS, _edge_mask_to_cert(x, edges), cost)
-    return EvenFactorResult(NOT_EXISTS, None, cost)
+    def pairs() -> Iterator[int]:
+        superset_memo: dict[int, list[list[int]]] = {}
+        for b in _span(0, kernel[k_a:]):
+            yield 0  # charges the half-B element: the empty element covers nothing
+            needed = full & ~cover(b)
+            if needed not in superset_memo:
+                superset_memo[needed] = [v for key, v in index.items() if key & needed == needed]
+            for bucket in superset_memo[needed]:
+                for a in bucket:
+                    yield a ^ b
+
+    return search(pairs()) or EvenFactorResult(NOT_EXISTS, None, cost)
+
+
+def _span(offset: int, basis: list[int]) -> Iterator[int]:
+    """offset ^ every combination of basis, in Gray-code order from offset."""
+    cur = offset
+    yield cur
+    for i in range(1, 1 << len(basis)):
+        cur ^= basis[(i & -i).bit_length() - 1]
+        yield cur
 
 
 def _prepass_probes(x0: int, kernel: list[int]) -> Iterator[int]:

@@ -59,6 +59,10 @@ CSV_COLUMNS = [
 
 RHO_STRICT_MARGIN = 1e-9
 
+# power-iteration tolerance of the monotonicity check; a drop of less than
+# twice it counts as solver error
+MONOTONICITY_TOL = 1e-10
+
 # draws the sampler may reject before it gives up on one sample
 RETRY_BUDGET = 500
 
@@ -154,9 +158,7 @@ def _partitions(total: int, t: int, p: int, cap: int) -> Iterator[tuple[int, ...
             yield (first,) + rest
 
 
-def lemma_merge_sweep(
-    max_n: int, max_s: int, ps: Iterable[int], rho_margin: float = RHO_STRICT_MARGIN
-) -> SweepReport:
+def lemma_merge_sweep(max_n: int, max_s: int, ps: Iterable[int]) -> SweepReport:
     """For every valid split family strictly below its merged form, assert the
     strict edge-count and spectral-radius inequalities against the merged
     family K_s v (K_{n-s-p(t-1)} u (t-1)K_p)."""
@@ -165,7 +167,6 @@ def lemma_merge_sweep(
         seed=0,
         params={"max_n": max_n, "max_s": max_s, "ps": sorted(ps)},
     )
-    merged_cache: dict[tuple[int, int, int, int], tuple[int, float]] = {}
     row_id = 0
     for s in range(1, max_s + 1):
         for p in sorted(ps):
@@ -175,16 +176,13 @@ def lemma_merge_sweep(
                     big = total - p * (t - 1)
                     if big - 1 < p:
                         continue
-                    key = (n, s, t, p)
-                    if key not in merged_cache:
-                        gr = build_family(merged_family(n, s, t, p))
-                        merged_cache[key] = (gr.edge_count, spectral_radius(gr).rho)
-                    e_merged, rho_merged = merged_cache[key]
+                    merged = build_family(merged_family(n, s, t, p))
+                    e_merged, rho_merged = merged.edge_count, spectral_radius(merged).rho
                     for parts in _partitions(total, t, p, big - 1):
                         gl = build_family(FamilySpec(s, parts))
                         rho_l = spectral_radius(gl).rho
                         edge_ok = gl.edge_count < e_merged
-                        rho_ok = rho_l < rho_merged - rho_margin
+                        rho_ok = rho_l < rho_merged - RHO_STRICT_MARGIN
                         row = _row(
                             "lemma_merge",
                             0,
@@ -407,9 +405,7 @@ def tightness_report(n: int, delta: int) -> SweepReport:
 # --- spectral monotonicity spot check -------------------------------------------
 
 
-def subgraph_monotonicity_sweep(
-    samples: int, seed: int, tol: float = 1e-10
-) -> SweepReport:
+def subgraph_monotonicity_sweep(samples: int, seed: int) -> SweepReport:
     """Random connected graph plus a random missing edge: the spectral radius
     must not drop (strict growth up to solver error)."""
     report = SweepReport(
@@ -433,9 +429,9 @@ def subgraph_monotonicity_sweep(
             continue
         u, v = missing[rng.randrange(len(missing))]
         g2 = g.with_edge(u, v)
-        rho1 = spectral_radius(g, tol=tol).rho
-        rho2 = spectral_radius(g2, tol=tol).rho
-        ok = rho2 > rho1 - 2 * tol
+        rho1 = spectral_radius(g, tol=MONOTONICITY_TOL).rho
+        rho2 = spectral_radius(g2, tol=MONOTONICITY_TOL).rho
+        ok = rho2 > rho1 - 2 * MONOTONICITY_TOL
         margins.append(rho2 - rho1)
         row = _row(
             "subgraph_monotonicity",

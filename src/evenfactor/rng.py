@@ -12,6 +12,9 @@ from .graphs import Graph
 
 _MASK64 = (1 << 64) - 1
 
+# draws random_connected_graph makes before it gives up
+CONNECTED_MAX_TRIES = 10_000
+
 
 class SplitMix64:
     def __init__(self, seed: int):
@@ -55,16 +58,14 @@ def random_graph_with_edges(n: int, m: int, rng: SplitMix64) -> Graph:
     return Graph.from_edges(n, [pairs[i] for i in rng.sample(m, total)])
 
 
-def random_connected_graph(
-    n: int, m: int, rng: SplitMix64, max_tries: int = 10_000
-) -> Graph:
+def random_connected_graph(n: int, m: int, rng: SplitMix64) -> Graph:
     if m < n - 1:
         raise ValueError(f"m={m} cannot connect {n} vertices")
-    for _ in range(max_tries):
+    for _ in range(CONNECTED_MAX_TRIES):
         g = random_graph_with_edges(n, m, rng)
         if g.is_connected():
             return g
-    raise RuntimeError(f"no connected draw in {max_tries} tries (n={n}, m={m})")
+    raise RuntimeError(f"no connected draw in {CONNECTED_MAX_TRIES} tries (n={n}, m={m})")
 
 
 def complete_minus_random_edges(n: int, k: int, rng: SplitMix64) -> Graph:

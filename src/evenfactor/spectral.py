@@ -15,6 +15,8 @@ import numpy as np
 
 from .graphs import Graph, mask_vertices
 
+ROOT_TOL = 1e-12
+
 
 class PowerIterationError(RuntimeError):
     def __init__(self, message: str, estimate: float, residual: float):
@@ -94,7 +96,6 @@ class QuotientMatrix3:
 
     rows: tuple[tuple[int, int, int], ...]
     block_sizes: tuple[int, int, int]
-    labels: tuple[str, str, str] = ("core", "big", "small")
 
     def __post_init__(self) -> None:
         if len(self.rows) != 3 or any(len(r) != 3 for r in self.rows):
@@ -167,8 +168,8 @@ def char_poly(m: QuotientMatrix3) -> CubicPoly:
     return CubicPoly(c2=-trace, c1=minors, c0=-det)
 
 
-def largest_real_root(p: CubicPoly, lower_bound: float, tol: float = 1e-12) -> float:
-    """Largest real root of a monic cubic, to absolute tolerance `tol`.
+def largest_real_root(p: CubicPoly, lower_bound: float) -> float:
+    """Largest real root of a monic cubic, to absolute tolerance `ROOT_TOL`.
 
     Newton from a point above every root (where p, p', p'' are all positive)
     descends monotonically onto the largest root; a short bisection polish
@@ -183,13 +184,13 @@ def largest_real_root(p: CubicPoly, lower_bound: float, tol: float = 1e-12) -> f
             break
         step = fx / dfx
         x -= step
-        if abs(step) < tol / 4:
+        if abs(step) < ROOT_TOL / 4:
             break
     # bracket around the Newton estimate and bisect; Newton-from-above leaves
     # p(x) >= 0 up to roundoff
-    hi = x + max(tol, 64 * abs(x) * 2.2e-16)
-    lo = x - max(tol, 64 * abs(x) * 2.2e-16)
-    widen = max(tol, abs(x) * 1e-9)
+    hi = x + max(ROOT_TOL, 64 * abs(x) * 2.2e-16)
+    lo = x - max(ROOT_TOL, 64 * abs(x) * 2.2e-16)
+    widen = max(ROOT_TOL, abs(x) * 1e-9)
     tries = 0
     while p(lo) > 0 and tries < 40:
         lo -= widen
@@ -207,7 +208,7 @@ def largest_real_root(p: CubicPoly, lower_bound: float, tol: float = 1e-12) -> f
             return root
         raise RootFindingError("could not bracket a real root from above")
     for _ in range(200):
-        if hi - lo <= tol / 2:
+        if hi - lo <= ROOT_TOL / 2:
             break
         mid = (lo + hi) / 2
         if p(mid) > 0:

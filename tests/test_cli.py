@@ -13,7 +13,7 @@ import pytest
 import evenfactor
 from evenfactor.cli import main
 from evenfactor.graph6 import write_graph6
-from evenfactor.graphs import extremal
+from evenfactor.graphs import cycle, extremal
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -129,6 +129,9 @@ def test_usage_error_exits_2(capsys):
     assert "usage-error" in err
     code, _, err = run(capsys, ["report", "tightness", "--n", "6", "--delta", "3", "--out", "/tmp/x.json"])
     assert code == 2
+    code, _, err = run(capsys, ["check", "condition", "--graph6", write_graph6(cycle(25))])
+    assert code == 2
+    assert "usage-error: condition check capped at 24 vertices, got 25" in err
 
 
 def test_verify_identities(capsys):

@@ -35,6 +35,14 @@ H7 = Graph.from_edges(
     7, [(0, 2), (0, 5), (1, 2), (1, 3), (2, 4), (3, 4), (3, 6), (4, 5), (5, 6)]
 )
 
+# outer 5-cycle, inner pentagram, spokes
+PETERSEN = Graph.from_edges(
+    10,
+    [(i, (i + 1) % 5) for i in range(5)]
+    + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    + [(i, i + 5) for i in range(5)],
+)
+
 
 def xor(a, b):
     return a ^ b
@@ -218,6 +226,30 @@ class TestOracleAgreement:
             grown += 1
             assert has_even_factor(g.with_edge(u, v)).status == EXISTS
         assert grown > 20
+
+
+class TestMeetInTheMiddle:
+    # coset dimensions 18, 15, 15 and 21: past the full scan, and every
+    # pre-pass probe misses, so meet in the middle decides each one
+    @pytest.mark.parametrize(
+        "parts, status, cost",
+        [
+            ([PETERSEN, PETERSEN, PETERSEN], EXISTS, 1228),
+            ([PETERSEN, PETERSEN, complete(4)], EXISTS, 738),
+            ([H7, complete(7)], NOT_EXISTS, 912),
+            ([H7, complete(8)], NOT_EXISTS, 3606),
+        ],
+    )
+    def test_pinned_result_and_cost(self, parts, status, cost):
+        g = disjoint_union(parts)
+        res = has_even_factor(g)
+        assert (res.status, res.search_cost) == (status, cost)
+        if status == EXISTS:
+            assert verify_even_factor(g, res.certificate)
+        else:
+            assert res.certificate is None
+        capped = has_even_factor(g, max_candidates=cost - 1)
+        assert (capped.status, capped.search_cost) == (UNKNOWN, cost)
 
 
 def parity_gadget(q, k):
