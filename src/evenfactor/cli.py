@@ -10,6 +10,7 @@ a definite answer was required.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -83,7 +84,10 @@ def _int_list(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok.strip()]
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: every `parse_args` call
+    returns a fresh Namespace, and no default is mutated after parsing."""
     top = argparse.ArgumentParser(
         prog="evenfactor",
         description="Verification lab for size and spectral conditions for even factors",

@@ -31,8 +31,6 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import islice
 
-import numpy as np
-
 from .graphs import Edge, Graph, mask_vertices
 from .rng import SplitMix64
 
@@ -278,6 +276,8 @@ def _prepass_probes(x0: int, kernel: list[int]) -> Iterator[int]:
 def has_even_factor_naive(g: Graph) -> EvenFactorResult:
     """Brute-force reference: scan all 2^m edge subsets in increasing bitmask
     order.  Independent of the cycle-space machinery; never "unknown"."""
+    import numpy as np
+
     m = g.edge_count
     if m > NAIVE_EDGE_CAP:
         raise ValueError(f"naive oracle capped at {NAIVE_EDGE_CAP} edges, got {m}")
@@ -318,20 +318,39 @@ def verify_even_factor(g: Graph, certificate: tuple[Edge, ...]) -> bool:
 def check_yan_kano_condition(g: Graph) -> ConditionReport:
     """Test o(G-S) < |S| for every S with |S| >= 2 (the Yan-Kano sufficient
     condition for an even factor in even-order graphs).  The first violating
-    S in increasing-bitmask order is returned as the witness."""
-    if g.n > 24:
-        raise ValueError(f"condition check capped at 24 vertices, got {g.n}")
-    full = (1 << g.n) - 1
-    for smask in range(3, 1 << g.n):
-        size = smask.bit_count()
-        # o(G-S) <= n - |S| < |S| once 2|S| > n, so no such S violates
-        if size < 2 or 2 * size > g.n:
+    S in increasing-bitmask order is returned as the witness.
+
+    Only sizes 2 <= s <= n/2 can violate (o(G-S) <= n - s), and only those
+    whose edge bound C(s,2) + s(n-s) + C(n-2s+1, 2) reaches e(G): G-S must
+    split n-s vertices into at least s components, and by convexity of C(k,2)
+    the most edges it can then keep is one part of n-2s+1 vertices beside
+    s-1 singletons.  Each surviving size is walked in increasing-bitmask
+    order, and the least violating mask over all sizes is the witness.
+    """
+    n = g.n
+    if n > 24:
+        raise ValueError(f"condition check capped at 24 vertices, got {n}")
+    full = (1 << n) - 1
+    best: int | None = None
+    best_odd = 0
+    for size in range(2, n // 2 + 1):
+        rest = n - 2 * size + 1
+        if size * (size - 1) // 2 + size * (n - size) + rest * (rest - 1) // 2 < g.edge_count:
             continue
-        o = sum(c.bit_count() & 1 for c in g.components(full & ~smask))
-        if o >= size:
-            return ConditionReport(
-                holds=False,
-                witness=mask_vertices(smask),
-                witness_odd_components=o,
-            )
-    return ConditionReport(holds=True)
+        smask = (1 << size) - 1
+        while smask <= full and (best is None or smask < best):
+            o = sum(c.bit_count() & 1 for c in g.components(full & ~smask))
+            if o >= size:
+                best, best_odd = smask, o
+                break
+            # Gosper's hack: the next larger mask with the same bit count
+            low = smask & -smask
+            ripple = smask + low
+            smask = (((ripple ^ smask) >> 2) // low) | ripple
+    if best is None:
+        return ConditionReport(holds=True)
+    return ConditionReport(
+        holds=False,
+        witness=mask_vertices(best),
+        witness_odd_components=best_odd,
+    )

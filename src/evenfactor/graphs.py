@@ -14,10 +14,6 @@ from typing import Iterable, Sequence
 Edge = tuple[int, int]
 
 
-def _norm_edge(u: int, v: int) -> Edge:
-    return (u, v) if u < v else (v, u)
-
-
 @dataclass(frozen=True)
 class Graph:
     """Immutable simple graph: no loops, no multi-edges, vertices 0..n-1.

@@ -10,10 +10,12 @@ is identical to the shifted residual, so the guarantee is stated for A itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .graphs import Graph, mask_vertices
+
+if TYPE_CHECKING:
+    import numpy as np
 
 ROOT_TOL = 1e-12
 
@@ -37,6 +39,8 @@ class SpectralResult:
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
+    import numpy as np
+
     a = np.zeros((g.n, g.n))
     for v in range(g.n):
         m = g.adj[v]
@@ -48,6 +52,8 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
 
 
 def _power_iterate(a: np.ndarray, tol: float, max_iter: int) -> tuple[float, int, float]:
+    import numpy as np
+
     k = a.shape[0]
     if k == 1:
         return 0.0, 0, 0.0
@@ -73,6 +79,8 @@ def spectral_radius(g: Graph, tol: float = 1e-10, max_iter: int = 10**6) -> Spec
     disconnected.  Deterministic: the start vector is all-ones."""
     if g.n < 1:
         raise ValueError("spectral radius needs at least one vertex")
+    import numpy as np
+
     a = adjacency_matrix(g)
     rho = 0.0
     iterations = 0

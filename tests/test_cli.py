@@ -1,6 +1,7 @@
 """CLI surface: subcommand outputs, exit codes, pipelines via stdin, and
 byte-identical reruns."""
 
+import argparse
 import io
 import json
 import os
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import evenfactor
+from evenfactor import cli
 from evenfactor.cli import main
 from evenfactor.graph6 import write_graph6
 from evenfactor.graphs import cycle, extremal
@@ -216,11 +218,72 @@ def test_report_tightness(capsys, tmp_path):
     assert blob["findings"]["extremal_oracle_finding"]["status"] == "exists"
 
 
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    run(capsys, ["threshold", "--n", "8", "--delta", "2"])
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    code, out, _ = run(capsys, ["threshold", "--n", "8", "--delta", "2", "--edges"])
+    assert (code, out) == (0, "23\n")
+    assert built == []
+
+
+def test_flags_do_not_carry_over_between_calls(capsys, monkeypatch):
+    seen = []
+    real_threshold = cli._cmd_threshold
+
+    def spy(args):
+        seen.append(args)
+        return real_threshold(args)
+
+    monkeypatch.setattr(cli, "_cmd_threshold", spy)
+    code, out, _ = run(capsys, ["--jobs", "2", "threshold", "--n", "8", "--delta", "2", "--edges"])
+    assert (code, out) == (0, "23\n")
+    code, out, _ = run(capsys, ["threshold", "--n", "8", "--delta", "2"])
+    assert code == 0
+    assert out.splitlines()[0] == "edges 23"
+    assert out.splitlines()[1].startswith("rho 6.09692")
+    assert [(a.jobs, a.edges) for a in seen] == [(2, True), (1, False)]
+    assert seen[0] is not seen[1]
+
+
+def test_cli_request_leaves_numpy_unloaded():
+    script = (
+        "import sys\n"
+        "from evenfactor.cli import main\n"
+        "code = main(['threshold', '--n', '8', '--delta', '2'])\n"
+        "assert code == 0, code\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=_subprocess_env(),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "edges 23"
+
+
 def test_same_argv_same_stdout(capsys):
     argv = ["verify", "identities", "--delta-max", "2", "--n-extra", "1"]
     code1, out1, _ = run(capsys, argv)
     code2, out2, _ = run(capsys, argv)
     assert (code1, out1) == (code2, out2)
+
+
+def _subprocess_env(**extra) -> dict:
+    """The environment with this checkout's package first on PYTHONPATH."""
+    src = str(Path(evenfactor.__file__).resolve().parents[1])
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
@@ -235,9 +298,7 @@ def test_same_argv_same_stdout(capsys):
     ids=["check-pipeline", "large-gen"],
 )
 def test_reader_closing_pipe_exits_quietly(argv, stdin, unbuffered):
-    src = str(Path(evenfactor.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = _subprocess_env(PYTHONUNBUFFERED=unbuffered)
     proc = subprocess.Popen(
         [sys.executable, "-m", "evenfactor.cli", *argv],
         stdin=subprocess.PIPE,

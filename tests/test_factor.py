@@ -330,6 +330,13 @@ class TestCondition:
         for _ in range(100):
             n = 1 + rng.randrange(10)
             graphs.append(random_graph_with_edges(n, rng.randrange(n * (n - 1) // 2 + 1), rng))
+        # the edge-bound prune is tight here: the extremal graph meets the
+        # bound at s = delta with equality, and each removed edge drops below it
+        for n, delta in ((8, 2), (10, 2), (12, 2), (12, 3)):
+            edges = extremal(n, delta).edges()
+            for k in range(4):
+                dropped = set(rng.sample(k, len(edges)))
+                graphs.append(Graph.from_edges(n, [e for i, e in enumerate(edges) if i not in dropped]))
         for g in graphs:
             rep = check_yan_kano_condition(g)
             assert (rep.holds, rep.witness, rep.witness_odd_components) == reference(g)
