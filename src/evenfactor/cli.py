@@ -66,9 +66,9 @@ def _parse_graph_text(text: str) -> Graph:
 
 
 def _read_graph(args: argparse.Namespace) -> Graph:
-    if getattr(args, "graph6", None):
+    if args.graph6 is not None:
         return parse_graph6(args.graph6)
-    if getattr(args, "file", None):
+    if args.file is not None:
         return _parse_graph_text(Path(args.file).read_text())
     return _parse_graph_text(sys.stdin.read())
 
@@ -94,6 +94,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     top.add_argument("--jobs", type=int, default=1, help="worker count for sweeps")
     sub = top.add_subparsers(dest="command", required=True)
+    # a graph arrives by one of these flags, or on stdin when both are absent
+    graph_in = argparse.ArgumentParser(add_help=False)
+    source = graph_in.add_mutually_exclusive_group()
+    source.add_argument("--graph6")
+    source.add_argument("--file")
 
     gen = sub.add_parser("gen", help="construct family graphs")
     gen_sub = gen.add_subparsers(dest="gen_what", required=True)
@@ -108,18 +113,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser("check", help="even-factor oracle and condition checks")
     check_sub = check.add_subparsers(dest="check_what", required=True)
-    check_ef = check_sub.add_parser("even-factor")
-    check_ef.add_argument("--graph6")
-    check_ef.add_argument("--file")
+    check_ef = check_sub.add_parser("even-factor", parents=[graph_in])
     check_ef.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM)
     check_ef.add_argument("--max-candidates", type=int, default=DEFAULT_MAX_CANDIDATES)
-    check_cond = check_sub.add_parser("condition")
-    check_cond.add_argument("--graph6")
-    check_cond.add_argument("--file")
+    check_sub.add_parser("condition", parents=[graph_in])
 
-    spec = sub.add_parser("spectral", help="spectral radius with residual")
-    spec.add_argument("--graph6")
-    spec.add_argument("--file")
+    spec = sub.add_parser("spectral", parents=[graph_in], help="spectral radius with residual")
     spec.add_argument("--tol", type=float, default=1e-10)
     spec.add_argument("--max-iter", type=int, default=10**6)
 
@@ -129,9 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     thr.add_argument("--edges", action="store_true")
     thr.add_argument("--rho", action="store_true")
 
-    ver = sub.add_parser("verdict", help="guarantee verdict as JSON")
-    ver.add_argument("--graph6")
-    ver.add_argument("--file")
+    ver = sub.add_parser("verdict", parents=[graph_in], help="guarantee verdict as JSON")
     ver.add_argument("--which", choices=("edges", "spectral", "both"), default="both")
 
     verify = sub.add_parser("verify", help="identity grids and lemma sweeps")

@@ -68,8 +68,8 @@ def _spanning_forest_chords(g: Graph) -> tuple[list[Edge], list[int]]:
     """Edges of g plus the fundamental-cycle edge masks of its chords."""
     edges = g.edges()
     eindex = {e: i for i, e in enumerate(edges)}
-    parent = [-1] * g.n
-    depth = [0] * g.n
+    # path[v]: mask of the tree edges from v up to its root
+    path = [0] * g.n
     in_tree = [False] * g.n
     tree_edges: set[Edge] = set()
     for root in range(g.n):
@@ -86,30 +86,17 @@ def _spanning_forest_chords(g: Graph) -> tuple[list[Edge], list[int]]:
                 m ^= b
                 if not in_tree[u]:
                     in_tree[u] = True
-                    parent[u] = v
-                    depth[u] = depth[v] + 1
-                    tree_edges.add((u, v) if u < v else (v, u))
+                    e = (u, v) if u < v else (v, u)
+                    path[u] = path[v] | (1 << eindex[e])
+                    tree_edges.add(e)
                     stack.append(u)
-    basis = []
-    for u, v in edges:
-        if (u, v) in tree_edges:
-            continue
-        mask = 1 << eindex[(u, v)]
-        a, b = u, v
-        while depth[a] > depth[b]:
-            pa = parent[a]
-            mask ^= 1 << eindex[(a, pa) if a < pa else (pa, a)]
-            a = pa
-        while depth[b] > depth[a]:
-            pb = parent[b]
-            mask ^= 1 << eindex[(b, pb) if b < pb else (pb, b)]
-            b = pb
-        while a != b:
-            pa, pb = parent[a], parent[b]
-            mask ^= 1 << eindex[(a, pa) if a < pa else (pa, a)]
-            mask ^= 1 << eindex[(b, pb) if b < pb else (pb, b)]
-            a, b = pa, pb
-        basis.append(mask)
+    # the two root paths share their part above the meeting vertex, which
+    # the XOR cancels, leaving the chord's fundamental cycle
+    basis = [
+        (1 << eindex[(u, v)]) ^ path[u] ^ path[v]
+        for u, v in edges
+        if (u, v) not in tree_edges
+    ]
     return edges, basis
 
 
@@ -136,7 +123,12 @@ def has_even_factor(
     Exact within the caps: `max_dim` bounds the coset dimension the exhaustive
     phases (full scan, meet in the middle) take on, `max_candidates` the
     charge of the module docstring; past either the status is "unknown".
+    Both caps must be at least 0.
     """
+    if max_dim < 0 or max_candidates < 0:
+        raise ValueError(
+            f"oracle caps must be at least 0, got max_dim={max_dim}, max_candidates={max_candidates}"
+        )
     n = g.n
     if n == 0:
         return EvenFactorResult(EXISTS, (), 0)

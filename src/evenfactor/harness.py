@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from math import comb
 from typing import Iterable, Iterator
@@ -20,6 +19,7 @@ from .factor import (
     DEFAULT_MAX_DIM,
     EXISTS,
     UNKNOWN,
+    EvenFactorResult,
     check_yan_kano_condition,
     has_even_factor,
 )
@@ -31,6 +31,7 @@ from .thresholds import (
     GUARANTEED_BY_EDGES,
     GUARANTEED_BY_SPECTRAL,
     RHO_EQUALITY_TOL,
+    Verdict,
     applicability,
     edge_threshold,
     recognize_extremal,
@@ -72,23 +73,16 @@ class SweepReport:
     campaign: str
     seed: int
     params: dict
+    findings: dict = field(default_factory=dict)
     rows: list[dict] = field(default_factory=list)
     counterexamples: list[dict] = field(default_factory=list)
-    findings: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
         return not self.counterexamples
 
     def to_json_dict(self) -> dict:
-        return {
-            "campaign": self.campaign,
-            "seed": self.seed,
-            "params": self.params,
-            "findings": self.findings,
-            "rows": self.rows,
-            "counterexamples": self.counterexamples,
-        }
+        return dict(vars(self))
 
 
 def _csv_cell(value) -> str:
@@ -120,25 +114,17 @@ def _row(
     g: Graph,
     **overrides,
 ) -> dict:
-    row = {
-        "campaign": campaign,
-        "seed": seed,
-        "row_id": row_id,
-        "graph6": write_graph6(g),
-        "n": g.n,
-        "delta": g.min_degree(),
-        "e": g.edge_count,
-        "rho": None,
-        "e_thr": None,
-        "rho_thr": None,
-        "meets_e": None,
-        "meets_rho": None,
-        "is_extremal": None,
-        "oracle": None,
-        "cost_candidates": None,
-        "elapsed_ms": None,
-    }
-    row.update(overrides)
+    row = dict.fromkeys(CSV_COLUMNS)
+    row.update(
+        campaign=campaign,
+        seed=seed,
+        row_id=row_id,
+        graph6=write_graph6(g),
+        n=g.n,
+        delta=g.min_degree(),
+        e=g.edge_count,
+        **overrides,
+    )
     return row
 
 
@@ -274,6 +260,9 @@ def soundness_sweep(
     # a fork-start pool launches every worker at the first submit
     workers = min(jobs, os.cpu_count() or 1, len(graphs))
     if workers > 1:
+        # imported here so that loading the package does not pay for it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_evaluate_oracle, graphs, chunksize=8))
     else:
@@ -326,16 +315,13 @@ def tightness_report(n: int, delta: int) -> SweepReport:
         campaign="tightness", seed=0, params={"n": n, "delta": delta}
     )
     g = extremal(n, delta)
-    e_thr = edge_threshold(n, delta)
-    rho_thr = spectral_threshold(n, delta)
-    rho = spectral_radius(g).rho
+    base_row, vd, oracle = _tightness_row(0, g, delta)
     cond = check_yan_kano_condition(g)
     core = tuple(range(delta))
-    oracle = has_even_factor(g)
 
     checks = {
-        "edge_threshold_equality": g.edge_count == e_thr,
-        "spectral_threshold_equality": abs(rho - rho_thr) <= RHO_EQUALITY_TOL,
+        "edge_threshold_equality": g.edge_count == vd.edge_threshold,
+        "spectral_threshold_equality": abs(vd.rho_G - vd.spectral_threshold) <= RHO_EQUALITY_TOL,
         "condition_fails": not cond.holds,
         "condition_witness_is_core": cond.witness == core,
         "witness_odd_components_equal_delta": cond.witness_odd_components == delta,
@@ -344,9 +330,9 @@ def tightness_report(n: int, delta: int) -> SweepReport:
         {
             "checks": checks,
             "edge_count": g.edge_count,
-            "edge_threshold": e_thr,
-            "rho": rho,
-            "spectral_threshold": rho_thr,
+            "edge_threshold": vd.edge_threshold,
+            "rho": vd.rho_G,
+            "spectral_threshold": vd.spectral_threshold,
             "condition_witness": list(cond.witness or ()),
             "condition_witness_odd_components": cond.witness_odd_components,
             "extremal_oracle_finding": {
@@ -356,50 +342,42 @@ def tightness_report(n: int, delta: int) -> SweepReport:
             },
         }
     )
-    base_row = _row(
-        "tightness",
-        0,
-        0,
-        g,
-        rho=rho,
-        e_thr=e_thr,
-        rho_thr=rho_thr,
-        meets_e=g.edge_count >= e_thr,
-        meets_rho=rho >= rho_thr - RHO_EQUALITY_TOL,
-        is_extremal=True,
-        oracle=oracle.status,
-        cost_candidates=oracle.search_cost,
-    )
     report.rows.append(base_row)
     if not all(checks.values()):
         report.counterexamples.append(base_row)
 
     for row_id, (u, v) in enumerate(g.non_edges(), start=1):
-        g2 = g.with_edge(u, v)
-        # every missing edge touches a minimum-degree vertex, so delta(g2)
-        # rises; the routes stay valid for min degree >= delta, which the
-        # delta override expresses
-        vd = verdict(g2, which="both", delta=delta)
-        res = has_even_factor(g2)
-        guaranteed = vd.guarantee in (GUARANTEED_BY_EDGES, GUARANTEED_BY_SPECTRAL)
-        row = _row(
-            "tightness",
-            0,
-            row_id,
-            g2,
-            rho=vd.rho_G,
-            e_thr=e_thr,
-            rho_thr=rho_thr,
-            meets_e=vd.meets_edge,
-            meets_rho=vd.meets_spectral,
-            is_extremal=False,
-            oracle=res.status,
-            cost_candidates=res.search_cost,
-        )
+        row, vd, res = _tightness_row(row_id, g.with_edge(u, v), delta)
         report.rows.append(row)
+        guaranteed = vd.guarantee in (GUARANTEED_BY_EDGES, GUARANTEED_BY_SPECTRAL)
         if not guaranteed or res.status != EXISTS:
             report.counterexamples.append(row)
     return report
+
+
+def _tightness_row(row_id: int, h: Graph, delta: int) -> tuple[dict, Verdict, EvenFactorResult]:
+    """The tightness row of h, its threshold columns all from its verdict.
+
+    Every missing edge of the extremal graph touches a minimum-degree
+    vertex, so delta rises on a one-edge supergraph; the routes stay valid
+    for min degree >= delta, which the delta override expresses."""
+    vd = verdict(h, which="both", delta=delta)
+    res = has_even_factor(h)
+    row = _row(
+        "tightness",
+        0,
+        row_id,
+        h,
+        rho=vd.rho_G,
+        e_thr=vd.edge_threshold,
+        rho_thr=vd.spectral_threshold,
+        meets_e=vd.meets_edge,
+        meets_rho=vd.meets_spectral,
+        is_extremal=vd.is_extremal,
+        oracle=res.status,
+        cost_candidates=res.search_cost,
+    )
+    return row, vd, res
 
 
 # --- spectral monotonicity spot check -------------------------------------------

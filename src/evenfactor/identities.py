@@ -474,14 +474,15 @@ def run_identity_grid(delta_max: int = 8, n_extra: int = 20) -> list[IdentityChe
         n_hi = max(floors) + n_extra
         for n in range(n_lo, n_hi + 1):
             theta = None
+            # n >= 2s and n >= 2*delta throughout: s <= n // 2, and n is at
+            # least the smaller route floor, itself at least 5*delta-3 >= 2*delta
             for s in range(1, n // 2 + 1):
-                if n >= 2 * s and n >= 2 * delta:
-                    checks.append(check_edge_diff_case1(n, s, delta))
-                if s >= 2 and n >= 2 * s and n >= 2 * delta:
+                checks.append(check_edge_diff_case1(n, s, delta))
+                if s >= 2:
                     checks.extend(check_phi_diff_case1(n, s, delta))
                 q = delta + 1 - s
                 small_valid = s >= 2 and q >= 1 and n - s - q * (s - 1) >= q
-                if small_valid and n >= 2 * delta:
+                if small_valid:
                     checks.append(check_edge_diff_case3(n, s, delta))
                     checks.extend(check_theta_gap_poly_identity(n, s, delta))
                     if theta is None:
@@ -498,7 +499,7 @@ def run_identity_grid(delta_max: int = 8, n_extra: int = 20) -> list[IdentityChe
                                 "gt",
                             )
                         )
-                if s >= 2 and n >= 2 * delta:
+                if s >= 2:
                     checks.extend(check_sign_claims(n, s, delta))
     return checks
 

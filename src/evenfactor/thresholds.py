@@ -116,21 +116,7 @@ class Verdict:
     reason: str | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "delta_G": self.delta_G,
-            "thm11_applicable": self.thm11_applicable,
-            "thm12_applicable": self.thm12_applicable,
-            "edge_threshold": self.edge_threshold,
-            "spectral_threshold": self.spectral_threshold,
-            "e_G": self.e_G,
-            "rho_G": self.rho_G,
-            "meets_edge": self.meets_edge,
-            "meets_spectral": self.meets_spectral,
-            "is_extremal": self.is_extremal,
-            "guarantee": self.guarantee,
-            "reason": self.reason,
-        }
+        return dict(vars(self))
 
 
 def verdict(g: Graph, which: str = "both", delta: int | None = None) -> Verdict:

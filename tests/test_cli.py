@@ -125,6 +125,39 @@ def test_parse_error_exits_3(capsys, monkeypatch):
     assert code == 3
 
 
+def test_empty_graph6_is_a_parse_error(capsys, monkeypatch):
+    # an empty --graph6 is still a given graph: stdin is never read
+    code, out, err = run(
+        capsys, ["check", "condition", "--graph6", ""], stdin="0\n", monkeypatch=monkeypatch
+    )
+    assert code == 3
+    assert out == ""
+    assert err == "parse-error: empty input (byte offset 0)\n"
+
+
+@pytest.mark.parametrize(
+    "command", [["check", "even-factor"], ["check", "condition"], ["spectral"], ["verdict"]]
+)
+def test_graph6_and_file_exclude_each_other(capsys, tmp_path, command):
+    p = tmp_path / "g.txt"
+    p.write_text("3\n0 1\n1 2\n2 0\n")
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--graph6", write_graph6(extremal(8, 2)), "--file", str(p)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --file: not allowed with argument --graph6" in captured.err
+
+
+@pytest.mark.parametrize("flag", ["--max-dim", "--max-candidates"])
+def test_negative_oracle_cap_exits_2(capsys, flag):
+    g6 = write_graph6(extremal(8, 2))
+    code, out, err = run(capsys, ["check", "even-factor", "--graph6", g6, flag, "-1"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage-error: oracle caps must be at least 0")
+
+
 def test_usage_error_exits_2(capsys):
     code, _, err = run(capsys, ["threshold", "--n", "5", "--delta", "3", "--edges"])
     assert code == 2
@@ -259,6 +292,7 @@ def test_cli_request_leaves_numpy_unloaded():
         "code = main(['threshold', '--n', '8', '--delta', '2'])\n"
         "assert code == 0, code\n"
         "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+        "assert 'concurrent.futures.process' not in sys.modules, 'process pool was imported'\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script],

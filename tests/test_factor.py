@@ -159,6 +159,11 @@ class TestOracle:
         assert res.status == UNKNOWN
         assert res.search_cost == 3
 
+    @pytest.mark.parametrize("caps", [{"max_dim": -1}, {"max_candidates": -1}])
+    def test_negative_caps_rejected(self, caps):
+        with pytest.raises(ValueError, match="oracle caps must be at least 0"):
+            has_even_factor(cycle(4), **caps)
+
 
 class TestNaiveOracle:
     def test_c5(self):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 
 import pytest
@@ -119,7 +120,7 @@ class TestSoundnessSweep:
             def map(self, fn, items, chunksize=1):
                 return map(fn, items)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
         rep = soundness_sweep(ns=[8], delta=2, samples=samples, seed=9, jobs=jobs)
         assert started == ([] if workers is None else [workers])
