@@ -44,11 +44,7 @@ from .harness import (
 )
 from .identities import (
     IdentityCheck,
-    check_edge_diff_case1,
-    check_edge_diff_case3,
-    check_phi_diff_case1,
-    check_phi_diff_case3,
-    check_sign_claims,
+    grid_row,
     run_identity_grid,
 )
 from .rng import SplitMix64, random_connected_graph, random_graph_with_edges

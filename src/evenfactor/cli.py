@@ -165,10 +165,7 @@ def _cmd_gen(args) -> int:
     if args.gen_what == "extremal":
         _print_graph(extremal(args.n, args.delta), args.format)
     else:
-        parts = tuple(sorted(args.parts, reverse=True))
-        if parts != tuple(args.parts):
-            raise ValueError("parts must be sorted non-increasing")
-        _print_graph(build_family(FamilySpec(args.s, parts)), args.format)
+        _print_graph(build_family(FamilySpec(args.s, tuple(args.parts))), args.format)
     return EXIT_OK
 
 

@@ -147,15 +147,19 @@ def _partitions(total: int, t: int, p: int, cap: int) -> Iterator[tuple[int, ...
 def lemma_merge_sweep(max_n: int, max_s: int, ps: Iterable[int]) -> SweepReport:
     """For every valid split family strictly below its merged form, assert the
     strict edge-count and spectral-radius inequalities against the merged
-    family K_s v (K_{n-s-p(t-1)} u (t-1)K_p)."""
+    family K_s v (K_{n-s-p(t-1)} u (t-1)K_p).  Every filler order p is at
+    least 1."""
+    ps = sorted(ps)
+    if any(p < 1 for p in ps):
+        raise ValueError(f"lemma parts must be at least 1, got {ps}")
     report = SweepReport(
         campaign="lemma_merge",
         seed=0,
-        params={"max_n": max_n, "max_s": max_s, "ps": sorted(ps)},
+        params={"max_n": max_n, "max_s": max_s, "ps": ps},
     )
     row_id = 0
     for s in range(1, max_s + 1):
-        for p in sorted(ps):
+        for p in ps:
             for n in range(s + 2 * p, max_n + 1):
                 total = n - s
                 for t in range(2, total // p + 1):
@@ -192,6 +196,11 @@ def lemma_merge_sweep(max_n: int, max_s: int, ps: Iterable[int]) -> SweepReport:
 # --- soundness sweep -----------------------------------------------------------
 
 
+def _require_route(n: int, delta: int, thm: str) -> None:
+    if not applicability(n, delta, thm):
+        raise ValueError(f"route {thm} hypotheses unmet for n={n}, delta={delta}")
+
+
 def _evaluate_oracle(g: Graph) -> tuple[str, int, int]:
     t0 = time.perf_counter()
     res = has_even_factor(g)
@@ -211,13 +220,17 @@ def soundness_sweep(
     the complement-edge budget), then assert the oracle finds an even factor
     on every non-extremal draw.  Extremal draws are logged, not asserted.
 
-    The oracle runs in up to `jobs` worker processes, never more than there
-    are CPUs or draws; the rows do not depend on `jobs`."""
+    Every n must meet the hypotheses of the route named by `which` (1.1 for
+    edges, 1.2 for spectral).  The oracle runs in up to `jobs` worker
+    processes, never more than there are CPUs or draws; the rows do not
+    depend on `jobs`."""
     if which not in ("edges", "spectral"):
         raise ValueError(f"which must be edges|spectral, got {which!r}")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     ns = list(ns)
+    for n in ns:
+        _require_route(n, delta, "1.1" if which == "edges" else "1.2")
     report = SweepReport(
         campaign=f"soundness_{which}",
         seed=seed,
@@ -307,10 +320,7 @@ def tightness_report(n: int, delta: int) -> SweepReport:
     extremal graph itself, and guarantee-plus-oracle confirmation for every
     one-edge supergraph."""
     for thm in ("1.1", "1.2"):
-        if not applicability(n, delta, thm):
-            raise ValueError(
-                f"route {thm} hypotheses unmet for n={n}, delta={delta}"
-            )
+        _require_route(n, delta, thm)
     report = SweepReport(
         campaign="tightness", seed=0, params={"n": n, "delta": delta}
     )

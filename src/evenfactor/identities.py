@@ -8,6 +8,11 @@ their hypotheses name.  Closed forms are transcribed once, here, and each
 transcription is checked against an independently computed left side
 (edge counts from realized graphs, characteristic polynomials from cofactor
 expansion), so a transcription typo cannot silently pass.
+
+The grid is evaluated one row (n, delta) at a time by `grid_row`: the
+extremal family's edge count, its cubic and the spectral threshold theta are
+built once per row, and each cell s builds its merged-core and small-cliques
+families and cubics once, for every check of the cell to read.
 """
 
 from __future__ import annotations
@@ -15,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isfinite
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .graphs import FamilySpec, build_family, merged_family
+from .graphs import build_family, merged_family
 from .spectral import char_poly, quotient_merged_core, quotient_small_cliques
 from .thresholds import edge_route_floor, spectral_route_floor, spectral_threshold
 
@@ -180,114 +185,31 @@ def small_cliques_deriv_at_floor_closed_form(n: int, s: int, delta: int) -> int:
     )
 
 
-# --- family edge counts (the independently counted side) -----------------------
-
-
-def _single_filler_spec(n: int, s: int) -> FamilySpec:
-    return merged_family(n, s, s, 1)
-
-
-def _small_cliques_spec(n: int, s: int, delta: int) -> FamilySpec:
-    return merged_family(n, s, s, delta + 1 - s)
-
-
 # --- the checks ---------------------------------------------------------------
 
 
-def check_edge_diff_case1(n: int, s: int, delta: int) -> IdentityCheck:
-    """Edge surplus of the extremal family over the merged-core family with
-    oversized core, against its closed form."""
-    params = {"n": n, "s": s, "delta": delta}
-    lhs = (
-        build_family(_single_filler_spec(n, delta)).edge_count
-        - build_family(_single_filler_spec(n, s)).edge_count
-    )
-    rhs = Fraction((s - delta) * (2 * n - 3 * s - 3 * delta + 3), 2)
-    return make_check("edge_surplus_merged_core", params, lhs, rhs)
-
-
-def check_edge_diff_case3(n: int, s: int, delta: int) -> IdentityCheck:
-    """Edge surplus of the extremal family over the small-cliques family,
-    against (delta - s) * edge_gap_cubic(s) / 2."""
-    params = {"n": n, "s": s, "delta": delta}
-    lhs = (
-        build_family(_single_filler_spec(n, delta)).edge_count
-        - build_family(_small_cliques_spec(n, s, delta)).edge_count
-    )
-    rhs = Fraction((delta - s) * edge_gap_cubic(s, n, delta), 2)
-    return make_check("edge_surplus_small_cliques", params, lhs, rhs)
-
-
-def check_phi_diff_case1(
-    n: int, s: int, delta: int, xs: Sequence = (0, 1, 2)
+def _charpoly_gap_checks(
+    name: str, params: dict, p, p_star, scale: int, gap_quadratic
 ) -> list[IdentityCheck]:
-    """Charpoly gap between the merged-core and extremal quotients at sample
-    points; 3 exact points certify the quadratic identity."""
-    p_merged = char_poly(quotient_merged_core(n, s))
-    p_star = char_poly(quotient_merged_core(n, delta))
+    """p - p_star against scale * gap_quadratic at x = 0, 1, 2; three exact
+    points certify the quadratic identity."""
+    n, s, delta = params["n"], params["s"], params["delta"]
     out = []
-    for x in xs:
-        params = {"n": n, "s": s, "delta": delta, "x": x}
-        lhs = p_merged(x) - p_star(x)
-        rhs = (s - delta) * radius_gap_quadratic(x, n, s, delta)
-        out.append(make_check("charpoly_gap_merged_core", params, lhs, rhs))
+    for x in (0, 1, 2):
+        lhs = p(x) - p_star(x)
+        rhs = scale * gap_quadratic(x, n, s, delta)
+        out.append(make_check(name, {**params, "x": x}, lhs, rhs))
     return out
 
 
-def check_phi_diff_case3(
-    n: int, s: int, delta: int, theta: float | None = None
-) -> IdentityCheck:
-    """Charpoly gap between the small-cliques and extremal quotients at the
-    spectral threshold theta; also requires theta to be a genuine root of the
-    extremal cubic."""
-    p_small = char_poly(quotient_small_cliques(n, s, delta))
-    p_star = char_poly(quotient_merged_core(n, delta))
-    if theta is None:
-        theta = spectral_threshold(n, delta)
-    lhs = p_small(theta) - p_star(theta)
-    rhs = (delta - s) * theta_gap_quadratic(theta, n, s, delta)
-    root_residual = abs(p_star(theta))
-    root_ok = root_residual <= FLOAT_RTOL * max(1.0, abs(theta) ** 3)
-    params = {
-        "n": n,
-        "s": s,
-        "delta": delta,
-        "theta": theta,
-        "extremal_charpoly_at_theta": root_residual,
-    }
-    return IdentityCheck(
-        name="charpoly_gap_small_cliques_at_theta",
-        params=params,
-        lhs=lhs,
-        rhs=rhs,
-        passed=_compare(lhs, rhs, "eq") and root_ok,
-    )
-
-
-def check_theta_gap_poly_identity(
-    n: int, s: int, delta: int, xs: Sequence = (0, 1, 2)
-) -> list[IdentityCheck]:
-    """Exact-point certification of the same quadratic gap (the theta check
-    above is numeric; this one is a proof at each sample point)."""
-    p_small = char_poly(quotient_small_cliques(n, s, delta))
-    p_star = char_poly(quotient_merged_core(n, delta))
-    out = []
-    for x in xs:
-        params = {"n": n, "s": s, "delta": delta, "x": x}
-        lhs = p_small(x) - p_star(x)
-        rhs = (delta - s) * theta_gap_quadratic(x, n, s, delta)
-        out.append(make_check("theta_gap_poly_identity", params, lhs, rhs))
-    return out
-
-
-def check_sign_claims(n: int, s: int, delta: int) -> list[IdentityCheck]:
+def _sign_claims(n: int, s: int, delta: int, p_small, small_surplus) -> list[IdentityCheck]:
     """Sign and floor claims used by the two route proofs, each evaluated in
     exact rational arithmetic inside its own hypothesis range (claims outside
-    their range are reported as skipped, never evaluated)."""
+    their range are reported as skipped, never evaluated).  `p_small` and
+    `small_surplus` are the cell's small-cliques cubic and edge surplus, None
+    where that family does not exist."""
     params = {"n": n, "s": s, "delta": delta}
     out: list[IdentityCheck] = []
-    q = delta + 1 - s
-    small_blocks_valid = s >= 2 and q >= 1 and n - s - q * (s - 1) >= q
 
     # size route, oversized core: the gap quadratic at its floor x = n - delta
     if s >= delta + 1 and n >= 2 * s:
@@ -412,8 +334,7 @@ def check_sign_claims(n: int, s: int, delta: int) -> list[IdentityCheck]:
         )
 
     # spectral route: derivative of the small-cliques cubic at x = n - delta
-    if 2 <= s <= delta - 1 and small_blocks_valid:
-        p_small = char_poly(quotient_small_cliques(n, s, delta))
+    if p_small is not None and s <= delta - 1:
         deriv_floor = p_small.deriv(n - delta)
         out.append(
             make_check(
@@ -451,17 +372,80 @@ def check_sign_claims(n: int, s: int, delta: int) -> list[IdentityCheck]:
             )
 
     # size route, s = 2 escape: checked by direct counting over the n grid
-    if s == 2 and delta >= 3 and small_blocks_valid and n >= 6 * delta - 4:
-        lhs = (
-            build_family(_single_filler_spec(n, delta)).edge_count
-            - build_family(_small_cliques_spec(n, s, delta)).edge_count
-        )
-        out.append(make_check("edge_surplus_positive_s2", params, lhs, 0, "gt"))
+    if s == 2 and delta >= 3 and small_surplus is not None and n >= 6 * delta - 4:
+        out.append(make_check("edge_surplus_positive_s2", params, small_surplus, 0, "gt"))
 
     return out
 
 
 # --- the grid ------------------------------------------------------------------
+
+
+def grid_row(n: int, delta: int) -> list[IdentityCheck]:
+    """Every check at (n, delta), for s = 1..n//2 in order.
+
+    The extremal family's edge count, its cubic and theta are built once for
+    the row; each cell builds its merged-core family and cubic once, and the
+    small-cliques family's edge surplus and cubic once where that family
+    exists.  Raises ValueError when the extremal family does not exist."""
+    e_star = build_family(merged_family(n, delta, delta, 1)).edge_count
+    p_star = char_poly(quotient_merged_core(n, delta))
+    theta = spectral_threshold(n, delta)
+    root_residual = abs(p_star(theta))
+    root_ok = root_residual <= FLOAT_RTOL * max(1.0, abs(theta) ** 3)
+    checks: list[IdentityCheck] = []
+    for s in range(1, n // 2 + 1):
+        params = {"n": n, "s": s, "delta": delta}
+        # edge surplus of the extremal family over the merged-core family
+        surplus = e_star - build_family(merged_family(n, s, s, 1)).edge_count
+        rhs = Fraction((s - delta) * (2 * n - 3 * s - 3 * delta + 3), 2)
+        checks.append(make_check("edge_surplus_merged_core", params, surplus, rhs))
+        if s >= 2:
+            p_merged = char_poly(quotient_merged_core(n, s))
+            checks += _charpoly_gap_checks(
+                "charpoly_gap_merged_core", params, p_merged, p_star, s - delta, radius_gap_quadratic
+            )
+        q = delta + 1 - s
+        p_small = small_surplus = None
+        if s >= 2 and q >= 1 and n - s - q * (s - 1) >= q:
+            small_surplus = e_star - build_family(merged_family(n, s, s, q)).edge_count
+            p_small = char_poly(quotient_small_cliques(n, s, delta))
+            rhs = Fraction((delta - s) * edge_gap_cubic(s, n, delta), 2)
+            checks.append(make_check("edge_surplus_small_cliques", params, small_surplus, rhs))
+            checks += _charpoly_gap_checks(
+                "theta_gap_poly_identity", params, p_small, p_star, delta - s, theta_gap_quadratic
+            )
+            # the same gap at theta, which must also be a root of the
+            # extremal cubic (numeric; the exact points above are the proof)
+            lhs = p_small(theta) - p_star(theta)
+            rhs = (delta - s) * theta_gap_quadratic(theta, n, s, delta)
+            theta_params = {
+                **params,
+                "theta": theta,
+                "extremal_charpoly_at_theta": root_residual,
+            }
+            checks.append(
+                IdentityCheck(
+                    name="charpoly_gap_small_cliques_at_theta",
+                    params=theta_params,
+                    lhs=lhs,
+                    rhs=rhs,
+                    passed=_compare(lhs, rhs, "eq") and root_ok,
+                )
+            )
+            if s <= delta - 1:
+                checks.append(
+                    make_check(
+                        "small_cliques_charpoly_at_theta_positive",
+                        {**params, "theta": theta},
+                        p_small(theta),
+                        0.0,
+                        "gt",
+                    )
+                )
+        if s >= 2:
+            checks += _sign_claims(n, s, delta, p_small, small_surplus)
+    return checks
 
 
 def run_identity_grid(delta_max: int = 8, n_extra: int = 20) -> list[IdentityCheck]:
@@ -473,34 +457,7 @@ def run_identity_grid(delta_max: int = 8, n_extra: int = 20) -> list[IdentityChe
         n_lo = min(floors)
         n_hi = max(floors) + n_extra
         for n in range(n_lo, n_hi + 1):
-            theta = None
-            # n >= 2s and n >= 2*delta throughout: s <= n // 2, and n is at
-            # least the smaller route floor, itself at least 5*delta-3 >= 2*delta
-            for s in range(1, n // 2 + 1):
-                checks.append(check_edge_diff_case1(n, s, delta))
-                if s >= 2:
-                    checks.extend(check_phi_diff_case1(n, s, delta))
-                q = delta + 1 - s
-                small_valid = s >= 2 and q >= 1 and n - s - q * (s - 1) >= q
-                if small_valid:
-                    checks.append(check_edge_diff_case3(n, s, delta))
-                    checks.extend(check_theta_gap_poly_identity(n, s, delta))
-                    if theta is None:
-                        theta = spectral_threshold(n, delta)
-                    checks.append(check_phi_diff_case3(n, s, delta, theta))
-                    p_small = char_poly(quotient_small_cliques(n, s, delta))
-                    if s <= delta - 1:
-                        checks.append(
-                            make_check(
-                                "small_cliques_charpoly_at_theta_positive",
-                                {"n": n, "s": s, "delta": delta, "theta": theta},
-                                p_small(theta),
-                                0.0,
-                                "gt",
-                            )
-                        )
-                if s >= 2:
-                    checks.extend(check_sign_claims(n, s, delta))
+            checks.extend(grid_row(n, delta))
     return checks
 
 

@@ -192,6 +192,30 @@ def test_verify_lemmas(capsys):
     assert "counterexamples=0" in err
 
 
+def test_lemma_parts_below_one_exit_2(capsys):
+    for ps in ("0", "-1", "1,0"):
+        code, out, err = run(
+            capsys, ["verify", "lemmas", "--max-n", "9", "--max-s", "2", "--p", ps]
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage-error: lemma parts must be at least 1")
+
+
+def test_sweep_outside_route_exits_2(capsys, tmp_path):
+    out_path = tmp_path / "odd.csv"
+    code, out, err = run(
+        capsys,
+        [
+            "sweep", "soundness", "--n", "9,11", "--delta", "2",
+            "--samples", "5", "--out", str(out_path),
+        ],
+    )
+    assert code == 2
+    assert err.startswith("usage-error: route 1.1 hypotheses unmet for n=9, delta=2")
+    assert not out_path.exists()
+
+
 def test_sweep_soundness(capsys, tmp_path):
     out_path = tmp_path / "sweep.csv"
     code, out, _ = run(

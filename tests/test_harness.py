@@ -87,6 +87,13 @@ class TestSoundnessSweep:
         b = soundness_sweep(ns=[8], delta=2, samples=30, seed=9, which="edges", jobs=2)
         assert rows_without_timing(a) == rows_without_timing(b)
 
+    def test_route_hypotheses_required(self):
+        # route 1.1 needs n even; route 1.2 needs n >= 7 at delta = 2
+        with pytest.raises(ValueError, match="route 1.1 hypotheses unmet for n=9, delta=2"):
+            soundness_sweep(ns=[8, 9], delta=2, samples=5, seed=1, which="edges")
+        with pytest.raises(ValueError, match="route 1.2 hypotheses unmet for n=6, delta=2"):
+            soundness_sweep(ns=[6], delta=2, samples=5, seed=1, which="spectral")
+
     def test_jobs_below_one_rejected(self):
         for jobs in (0, -3):
             with pytest.raises(ValueError):

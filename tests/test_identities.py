@@ -1,23 +1,20 @@
 """Identity checks: frozen worked examples, symbolic cross-derivation of every
 transcribed closed form, and a smoke run of the grid."""
 
+import hashlib
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from evenfactor.identities import (
-    check_edge_diff_case1,
-    check_edge_diff_case3,
-    check_phi_diff_case1,
-    check_phi_diff_case3,
-    check_sign_claims,
-    check_theta_gap_poly_identity,
     edge_gap_cubic,
     edge_route_floor,
     floor_quadratic,
     floor_quadratic_min_closed_form,
     grid_failures,
+    grid_row,
     make_check,
     radius_gap_quadratic,
     run_identity_grid,
@@ -30,65 +27,79 @@ def by_name(checks, name):
     return [c for c in checks if c.name == name]
 
 
+def cell(n, s, delta):
+    """Every check of the grid cell (n, s, delta), in grid order."""
+    return [c for c in grid_row(n, delta) if c.params["s"] == s]
+
+
 class TestEdgeDiffs:
     def test_case1_worked_example(self):
-        c = check_edge_diff_case1(12, 3, 2)
+        (c,) = by_name(cell(12, 3, 2), "edge_surplus_merged_core")
         assert (c.lhs, c.rhs, c.passed) == (6, Fraction(6), True)
 
     def test_case1_degenerate_equal(self):
-        c = check_edge_diff_case1(10, 5, 5)
+        (c,) = by_name(cell(10, 5, 5), "edge_surplus_merged_core")
         assert c.lhs == 0 and c.passed
 
     def test_case1_another_point(self):
-        assert check_edge_diff_case1(16, 4, 3).passed
+        (c,) = by_name(cell(16, 4, 3), "edge_surplus_merged_core")
+        assert c.passed
 
     def test_case3_worked_example(self):
-        c = check_edge_diff_case3(14, 3, 4)
+        (c,) = by_name(cell(14, 3, 4), "edge_surplus_small_cliques")
         assert c.lhs == 67 - 59 == 8
         assert edge_gap_cubic(3, 14, 4) == 16
         assert c.passed
 
     def test_case3_s_equals_delta(self):
-        c = check_edge_diff_case3(12, 3, 3)
+        (c,) = by_name(cell(12, 3, 3), "edge_surplus_small_cliques")
         assert c.lhs == 0 and c.passed
 
     def test_case3_s2_escape(self):
-        c = check_edge_diff_case3(20, 2, 5)
+        (c,) = by_name(cell(20, 2, 5), "edge_surplus_small_cliques")
         assert c.passed and c.lhs > 0
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
-            check_edge_diff_case3(8, 2, 6)  # big block underflows
+            grid_row(8, 6)  # the extremal family's big block underflows
 
 
 class TestCharpolyGaps:
     def test_case1_sample_points(self):
-        for c in check_phi_diff_case1(10, 4, 3, xs=(0, 1, 2)):
+        gaps = by_name(cell(10, 4, 3), "charpoly_gap_merged_core")
+        assert [c.params["x"] for c in gaps] == [0, 1, 2]
+        for c in gaps:
             assert c.passed
 
     def test_case1_s_equals_delta_zero(self):
-        for c in check_phi_diff_case1(12, 3, 3, xs=(0, 1, 2, 7)):
+        gaps = by_name(cell(12, 3, 3), "charpoly_gap_merged_core")
+        assert len(gaps) == 3
+        for c in gaps:
             assert c.lhs == 0 and c.passed
 
     def test_case1_at_radius_floor(self):
-        c = check_phi_diff_case1(12, 5, 2, xs=(10,))[0]
+        # the merged-core gap quadratic at x = n - delta = 10
+        (c,) = by_name(cell(12, 5, 2), "radius_gap_at_floor_positive")
         assert c.passed
-        assert radius_gap_quadratic(10, 12, 5, 2) > 0
+        assert c.lhs == radius_gap_quadratic(10, 12, 5, 2) > 0
 
     def test_case3_at_theta(self):
-        c = check_phi_diff_case3(14, 3, 4)
+        (c,) = by_name(cell(14, 3, 4), "charpoly_gap_small_cliques_at_theta")
         assert c.passed
         assert c.params["extremal_charpoly_at_theta"] <= 1e-8
 
     def test_case3_s2(self):
-        assert check_phi_diff_case3(20, 2, 5).passed
+        (c,) = by_name(cell(20, 2, 5), "charpoly_gap_small_cliques_at_theta")
+        assert c.passed
 
     def test_case3_s_equals_delta(self):
-        c = check_phi_diff_case3(12, 3, 3)
+        (c,) = by_name(cell(12, 3, 3), "charpoly_gap_small_cliques_at_theta")
         assert abs(c.lhs) < 1e-7 and c.passed
 
     def test_poly_certification_exact(self):
-        for c in check_theta_gap_poly_identity(14, 3, 4, xs=(0, 1, 2, -1)):
+        gaps = by_name(cell(14, 3, 4), "theta_gap_poly_identity")
+        assert [c.params["x"] for c in gaps] == [0, 1, 2]
+        for c in gaps:
             assert c.passed
 
 
@@ -197,25 +208,25 @@ class TestTranscriptions:
 
 class TestSignClaims:
     def test_edge_cubic_at_3_example(self):
-        checks = check_sign_claims(14, 3, 3)
+        checks = cell(14, 3, 3)
         (value,) = by_name(checks, "edge_cubic_at_3_value")
         assert value.lhs == 19 and value.passed
         (pos,) = by_name(checks, "edge_cubic_at_3_positive")
         assert pos.lhs == 19 and pos.passed
 
     def test_radius_chain_min_example(self):
-        checks = check_sign_claims(7, 3, 2)
+        checks = cell(7, 3, 2)
         (chain,) = by_name(checks, "radius_gap_chain_min")
         assert chain.lhs == Fraction(7, 2) and chain.passed
 
     def test_deriv_chain_min_example(self):
-        checks = check_sign_claims(10, 3, 4)
+        checks = cell(10, 3, 4)
         (chain,) = by_name(checks, "small_cliques_deriv_chain_min")
         assert chain.lhs == Fraction(235, 9) and chain.passed
 
     def test_floor_min_at_3_4(self):
         assert floor_quadratic_min_closed_form(3, 4) == Fraction(247, 9)
-        checks = check_sign_claims(14, 3, 4)
+        checks = cell(14, 3, 4)
         (fm,) = by_name(checks, "floor_min_value")
         assert fm.passed
         (fp,) = by_name(checks, "floor_min_positive")
@@ -223,20 +234,20 @@ class TestSignClaims:
 
     def test_pivot_zero_is_exact(self):
         for n, s, delta in [(14, 3, 4), (20, 4, 6), (30, 5, 8)]:
-            checks = check_sign_claims(n, s, delta)
+            checks = cell(n, s, delta)
             (piv,) = by_name(checks, "floor_deriv_zero_at_pivot")
             assert piv.lhs == 0 and piv.passed
 
     def test_s3_slope_boundary(self):
-        checks = check_sign_claims(14, 3, 4)
+        checks = cell(14, 3, 4)
         (slope,) = by_name(checks, "theta_gap_slope_positive_s3")
         assert slope.lhs == 14 - 4 - 1 and slope.passed
         assert slope.params.get("boundary") == "s=3"
-        checks = check_sign_claims(20, 4, 6)
+        checks = cell(20, 4, 6)
         assert by_name(checks, "theta_gap_vertex_left_of_floor")[0].passed
 
     def test_out_of_range_claims_are_skipped(self):
-        checks = check_sign_claims(8, 2, 2)
+        checks = cell(8, 2, 2)
         skipped = [c for c in checks if c.passed is None]
         assert skipped
         assert all(c.skipped_reason for c in skipped)
@@ -257,6 +268,49 @@ class TestGrid:
         assert not fails
         evaluated = [c for c in checks if c.passed is not None]
         assert len(evaluated) > 500
+
+    def test_grid_output_is_pinned(self):
+        checks = run_identity_grid(delta_max=8, n_extra=20)
+        assert Counter(c.name for c in checks) == {
+            "charpoly_gap_merged_core": 8502,
+            "charpoly_gap_small_cliques_at_theta": 728,
+            "edge_cubic_at_3_floor": 2464,
+            "edge_cubic_at_3_positive": 2834,
+            "edge_cubic_at_3_value": 2464,
+            "edge_cubic_monotone_from_3": 2834,
+            "edge_cubic_slope_min_nonneg": 400,
+            "edge_cubic_slope_min_value": 400,
+            "edge_surplus_merged_core": 3009,
+            "edge_surplus_positive_s2": 126,
+            "edge_surplus_small_cliques": 728,
+            "floor_deriv_zero_at_pivot": 400,
+            "floor_min_positive": 2834,
+            "floor_min_value": 400,
+            "floor_monotone_to_n": 400,
+            "floor_pivot_below_n": 400,
+            "radius_gap_at_floor_positive": 2106,
+            "radius_gap_at_floor_value": 2834,
+            "radius_gap_chain_min": 2834,
+            "small_cliques_charpoly_at_theta_positive": 553,
+            "small_cliques_deriv_at_floor_value": 553,
+            "small_cliques_deriv_chain_min": 400,
+            "small_cliques_deriv_positive": 400,
+            "small_cliques_deriv_positive_s2": 153,
+            "small_cliques_deriv_vertex_left": 553,
+            "theta_gap_floor_value": 553,
+            "theta_gap_poly_identity": 2184,
+            "theta_gap_slope_positive_s3": 130,
+            "theta_gap_vertex_left_of_floor": 270,
+        }
+        assert len(checks) == 42446
+        assert sum(1 for c in checks if c.passed is None) == 5966
+        # every byte of the JSON lines `verify identities` prints, on a small grid
+        small = run_identity_grid(delta_max=4, n_extra=4)
+        assert len(small) == 1960
+        lines = "".join(json.dumps(c.to_json_dict()) + "\n" for c in small)
+        assert hashlib.sha256(lines.encode()).hexdigest() == (
+            "b08b0f0751ffb1ff77a6ce10c95faa91e7e563efb11ca9277f2025adc2047bff"
+        )
 
     def test_json_lines_are_well_formed(self):
         checks = run_identity_grid(delta_max=2, n_extra=1)
