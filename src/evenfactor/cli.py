@@ -196,14 +196,17 @@ def _cmd_spectral(args) -> int:
 
 
 def _cmd_threshold(args) -> int:
-    both = args.edges == args.rho  # neither or both flags: print labeled lines
-    if args.edges and not both:
-        print(edge_threshold(args.n, args.delta))
-    elif args.rho and not both:
-        print(f"{spectral_threshold(args.n, args.delta):.10f}")
-    else:
-        print(f"edges {edge_threshold(args.n, args.delta)}")
-        print(f"rho {spectral_threshold(args.n, args.delta):.10f}")
+    # every line is computed before the first is printed, so an error exit
+    # leaves stdout empty
+    labeled = args.edges == args.rho  # neither or both flags: print labeled lines
+    lines = []
+    if args.edges or labeled:
+        e_thr = str(edge_threshold(args.n, args.delta))
+        lines.append(f"edges {e_thr}" if labeled else e_thr)
+    if args.rho or labeled:
+        rho_thr = f"{spectral_threshold(args.n, args.delta):.10f}"
+        lines.append(f"rho {rho_thr}" if labeled else rho_thr)
+    print("\n".join(lines))
     return EXIT_OK
 
 

@@ -21,10 +21,10 @@ class Graph:
     Validation happens once, at the trust boundary: a direct `Graph(n, adj)`
     checks the vertex count, the adjacency length, the range of every mask,
     loops and symmetry.  The builders in this package (`from_edges`,
-    `with_edge`, `complete`, `disjoint_union`, `join`, `parse_graph6` and
-    everything built on them) check their own arguments and then go through
-    `_trusted`, which skips that O(m) scan because their adjacency is a
-    simple graph by construction.
+    `with_edge`, `complete`, `disjoint_union`, `join`, `build_family`,
+    `parse_graph6` and everything built on them) check their own arguments
+    and then go through `_trusted`, which skips that O(m) scan because their
+    adjacency is a simple graph by construction.
     """
 
     n: int
@@ -246,8 +246,19 @@ def merged_family(n: int, s: int, t: int, p: int) -> FamilySpec:
 
 
 def build_family(spec: FamilySpec) -> Graph:
-    inner = disjoint_union([complete(p) for p in spec.parts])
-    return join(complete(spec.s), inner)
+    """K_s v (K_{n_1} u ... u K_{n_t}), equal to `join(complete(s),
+    disjoint_union(complete(p) for p in parts))`, each row's mask written in
+    one pass: a core vertex sees every other vertex, a part vertex sees the
+    core and the rest of its own part."""
+    full = (1 << spec.n) - 1
+    core = (1 << spec.s) - 1
+    adj = [full ^ (1 << v) for v in range(spec.s)]
+    lo = spec.s
+    for p in spec.parts:
+        block = ((1 << p) - 1) << lo
+        adj.extend(core | block ^ (1 << v) for v in range(lo, lo + p))
+        lo += p
+    return Graph._trusted(spec.n, tuple(adj))
 
 
 def extremal(n: int, delta: int) -> Graph:

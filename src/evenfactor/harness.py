@@ -148,7 +148,7 @@ def lemma_merge_sweep(max_n: int, max_s: int, ps: Iterable[int]) -> SweepReport:
     """For every valid split family strictly below its merged form, assert the
     strict edge-count and spectral-radius inequalities against the merged
     family K_s v (K_{n-s-p(t-1)} u (t-1)K_p).  Every filler order p is at
-    least 1."""
+    least 1, and a sweep that yields no instance is a ValueError."""
     ps = sorted(ps)
     if any(p < 1 for p in ps):
         raise ValueError(f"lemma parts must be at least 1, got {ps}")
@@ -189,6 +189,8 @@ def lemma_merge_sweep(max_n: int, max_s: int, ps: Iterable[int]) -> SweepReport:
                         report.rows.append(row)
                         if not (edge_ok and rho_ok):
                             report.counterexamples.append(row)
+    if not row_id:
+        raise ValueError(f"no lemma instance for max_n={max_n}, max_s={max_s}, ps={ps}")
     report.findings["instances"] = row_id
     return report
 
@@ -223,12 +225,16 @@ def soundness_sweep(
     Every n must meet the hypotheses of the route named by `which` (1.1 for
     edges, 1.2 for spectral).  The oracle runs in up to `jobs` worker
     processes, never more than there are CPUs or draws; the rows do not
-    depend on `jobs`."""
+    depend on `jobs`.  At least one n and one sample are required."""
     if which not in ("edges", "spectral"):
         raise ValueError(f"which must be edges|spectral, got {which!r}")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     ns = list(ns)
+    if not ns:
+        raise ValueError("a soundness sweep needs at least one n")
     for n in ns:
         _require_route(n, delta, "1.1" if which == "edges" else "1.2")
     report = SweepReport(

@@ -450,7 +450,13 @@ def grid_row(n: int, delta: int) -> list[IdentityCheck]:
 
 def run_identity_grid(delta_max: int = 8, n_extra: int = 20) -> list[IdentityCheck]:
     """Every identity and sign claim over delta in [2, delta_max], n from the
-    route floors to floor + n_extra, s across each claim's range."""
+    route floors to floor + n_extra, s across each claim's range.  An empty
+    grid (delta_max < 2 or n_extra < 0) is a ValueError."""
+    if delta_max < 2 or n_extra < 0:
+        raise ValueError(
+            f"identity grid needs delta_max >= 2 and n_extra >= 0, "
+            f"got delta_max={delta_max}, n_extra={n_extra}"
+        )
     checks: list[IdentityCheck] = []
     for delta in range(2, delta_max + 1):
         floors = (edge_route_floor(delta), spectral_route_floor(delta))

@@ -5,10 +5,16 @@ Power iteration runs on A + I throughout: the shift keeps the Perron vector,
 moves every eigenvalue up by one, and removes the +/- oscillation that stalls
 convergence on bipartite-like graphs.  The reported residual ||Av - rho*v||_inf
 is identical to the shifted residual, so the guarantee is stated for A itself.
+
+A + I is unpacked from the adjacency bitmasks in one numpy call.  A connected
+graph iterates on it directly; only a disconnected graph pays for one
+submatrix per component.  numpy is imported inside the functions that use it,
+so importing this module (and the CLI) does not load it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -38,37 +44,44 @@ class SpectralResult:
     residual: float
 
 
+def _bit_matrix(g: Graph, diagonal: int) -> np.ndarray:
+    """The 0/1 float matrix whose row v holds the bits of adj[v] | diagonal << v:
+    A for diagonal 0, A + I for diagonal 1.  The rows' little-endian bytes are
+    joined and unpacked in one call."""
+    import numpy as np
+
+    width = (g.n + 7) // 8
+    rows = b"".join(
+        (m | diagonal << v).to_bytes(width, "little") for v, m in enumerate(g.adj)
+    )
+    packed = np.frombuffer(rows, dtype=np.uint8).reshape(g.n, width)
+    return np.unpackbits(packed, axis=1, count=g.n, bitorder="little").astype(float)
+
+
 def adjacency_matrix(g: Graph) -> np.ndarray:
+    return _bit_matrix(g, 0)
+
+
+def _power_iterate(shifted: np.ndarray, tol: float, max_iter: int) -> tuple[float, int, float]:
+    """Power iteration on a connected block of A + I; returns the estimate of
+    rho(A), the iterations used and the final residual."""
     import numpy as np
 
-    a = np.zeros((g.n, g.n))
-    for v in range(g.n):
-        m = g.adj[v]
-        while m:
-            b = m & -m
-            a[v, b.bit_length() - 1] = 1.0
-            m ^= b
-    return a
-
-
-def _power_iterate(a: np.ndarray, tol: float, max_iter: int) -> tuple[float, int, float]:
-    import numpy as np
-
-    k = a.shape[0]
+    k = shifted.shape[0]
     if k == 1:
         return 0.0, 0, 0.0
-    shifted = a + np.eye(k)
     v = np.full(k, 1.0 / np.sqrt(k))
     best = (0.0, np.inf)
     for it in range(1, max_iter + 1):
         w = shifted @ v
         lam = float(v @ w)
-        residual = float(np.max(np.abs(w - lam * v)))
+        residual = float(np.abs(w - lam * v).max())
         if residual <= tol:
             return lam - 1.0, it, residual
         if residual < best[1]:
             best = (lam - 1.0, residual)
-        v = w / np.linalg.norm(w)
+        # exactly what np.linalg.norm computes for a 1-D float vector
+        v = w / math.sqrt(w.dot(w))
     raise PowerIterationError(
         f"no convergence within {max_iter} iterations", best[0], best[1]
     )
@@ -76,18 +89,27 @@ def _power_iterate(a: np.ndarray, tol: float, max_iter: int) -> tuple[float, int
 
 def spectral_radius(g: Graph, tol: float = 1e-10, max_iter: int = 10**6) -> SpectralResult:
     """Largest adjacency eigenvalue; the maximum over components when
-    disconnected.  Deterministic: the start vector is all-ones."""
+    disconnected.  Deterministic: the start vector is all-ones.  Needs
+    tol >= 0 (NaN is rejected) and max_iter >= 1."""
     if g.n < 1:
         raise ValueError("spectral radius needs at least one vertex")
+    if not tol >= 0:
+        raise ValueError(f"tolerance must be at least 0, got {tol}")
+    if not max_iter >= 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     import numpy as np
 
-    a = adjacency_matrix(g)
+    shifted = _bit_matrix(g, 1)
+    blocks = [shifted]
+    comps = g.components()
+    if len(comps) > 1:
+        # a connected graph iterates on A + I itself, with no submatrix copy
+        blocks = [shifted[np.ix_(idx, idx)] for idx in map(mask_vertices, comps)]
     rho = 0.0
     iterations = 0
     residual = 0.0
-    for comp in g.components():
-        idx = list(mask_vertices(comp))
-        r, it, res = _power_iterate(a[np.ix_(idx, idx)], tol, max_iter)
+    for block in blocks:
+        r, it, res = _power_iterate(block, tol, max_iter)
         iterations += it
         residual = max(residual, res)
         rho = max(rho, r)

@@ -169,6 +169,52 @@ def test_usage_error_exits_2(capsys):
     assert "usage-error: condition check capped at 24 vertices, got 25" in err
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--tol", "-1"], "usage-error: tolerance must be at least 0"),
+        (["--tol", "nan"], "usage-error: tolerance must be at least 0"),
+        (["--max-iter", "0"], "usage-error: max_iter must be at least 1"),
+    ],
+)
+def test_spectral_iteration_arguments_exit_2(capsys, flags, message):
+    # rejected before any iteration runs, not after 10^6 of them
+    code, out, err = run(capsys, ["spectral", "--graph6", "KYMGg?@?WB_N", *flags])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(message)
+
+
+def test_threshold_error_leaves_stdout_empty(capsys):
+    # the edge threshold exists at delta = 1, the spectral one does not
+    code, out, err = run(capsys, ["threshold", "--n", "8", "--delta", "1"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage-error: blocks empty for n=8, s=1")
+    code, out, _ = run(capsys, ["threshold", "--n", "8", "--delta", "1", "--edges"])
+    assert (code, out) == (0, "28\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "identities", "--delta-max", "1"],
+        ["verify", "identities", "--n-extra", "-40"],
+        ["verify", "lemmas", "--max-n", "14", "--max-s", "0"],
+        ["verify", "lemmas", "--max-n", "3", "--max-s", "4"],
+        ["sweep", "soundness", "--n", "8", "--delta", "2", "--samples", "0"],
+    ],
+)
+def test_empty_campaign_exits_2(capsys, tmp_path, argv):
+    if argv[0] == "sweep":
+        argv = [*argv, "--out", str(tmp_path / "empty.csv")]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage-error: ")
+    assert not (tmp_path / "empty.csv").exists()
+
+
 def test_verify_identities(capsys):
     code, out, err = run(
         capsys, ["verify", "identities", "--delta-max", "2", "--n-extra", "2"]

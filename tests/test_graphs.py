@@ -81,6 +81,30 @@ def test_build_family():
     assert (g.n, g.edge_count) == (12, 51)
 
 
+def _specs(max_n):
+    """Every FamilySpec with 1 <= n <= max_n."""
+
+    def partitions(total, cap):
+        if total == 0:
+            yield ()
+        for first in range(min(total, cap), 0, -1):
+            for rest in partitions(total - first, first):
+                yield (first,) + rest
+
+    for n in range(1, max_n + 1):
+        for s in range(n + 1):
+            for parts in partitions(n - s, n - s):
+                yield FamilySpec(s, parts)
+
+
+def test_build_family_equals_composed_construction():
+    specs = list(_specs(14))
+    assert len(specs) == 1770
+    for spec in specs:
+        composed = join(complete(spec.s), disjoint_union([complete(p) for p in spec.parts]))
+        assert build_family(spec) == composed, spec
+
+
 def test_family_spec_validation():
     with pytest.raises(ValueError):
         FamilySpec(2, (1, 5))  # not sorted

@@ -44,6 +44,11 @@ class TestLemmaMergeSweep:
             g = parse_graph6(row["graph6"])
             assert row["e"] < row["e_thr"]
 
+    def test_empty_sweep_rejected(self):
+        for max_n, max_s, ps in ((14, 0, [1]), (3, 4, [1]), (14, 4, [])):
+            with pytest.raises(ValueError, match="no lemma instance"):
+                lemma_merge_sweep(max_n, max_s, ps)
+
     def test_no_violations_small(self):
         rep = lemma_merge_sweep(12, 3, [1, 2])
         assert rep.passed
@@ -93,6 +98,11 @@ class TestSoundnessSweep:
             soundness_sweep(ns=[8, 9], delta=2, samples=5, seed=1, which="edges")
         with pytest.raises(ValueError, match="route 1.2 hypotheses unmet for n=6, delta=2"):
             soundness_sweep(ns=[6], delta=2, samples=5, seed=1, which="spectral")
+
+    def test_empty_sweep_rejected(self):
+        for ns, samples in (([8], 0), ([8], -1), ([], 5)):
+            with pytest.raises(ValueError):
+                soundness_sweep(ns=ns, delta=2, samples=samples, seed=9)
 
     def test_jobs_below_one_rejected(self):
         for jobs in (0, -3):

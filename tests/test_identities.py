@@ -312,6 +312,11 @@ class TestGrid:
             "b08b0f0751ffb1ff77a6ce10c95faa91e7e563efb11ca9277f2025adc2047bff"
         )
 
+    def test_empty_grid_rejected(self):
+        for delta_max, n_extra in ((1, 20), (0, 0), (8, -1)):
+            with pytest.raises(ValueError, match="identity grid needs"):
+                run_identity_grid(delta_max=delta_max, n_extra=n_extra)
+
     def test_json_lines_are_well_formed(self):
         checks = run_identity_grid(delta_max=2, n_extra=1)
         for c in checks[:200]:

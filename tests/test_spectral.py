@@ -1,3 +1,6 @@
+import hashlib
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -8,7 +11,9 @@ from evenfactor.graphs import (
     cycle,
     disjoint_union,
     extremal,
+    path,
 )
+from evenfactor.rng import SplitMix64, complete_minus_random_edges
 from evenfactor.spectral import (
     CubicPoly,
     PowerIterationError,
@@ -91,6 +96,49 @@ def test_nonconvergence_is_explicit():
     with pytest.raises(PowerIterationError) as exc:
         spectral_radius(extremal(12, 3), tol=1e-15, max_iter=3)
     assert exc.value.residual > 0
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"tol": -1.0}, {"tol": float("nan")}, {"max_iter": 0}, {"max_iter": -5}],
+)
+def test_iteration_arguments_validated_up_front(kwargs):
+    with pytest.raises(ValueError):
+        spectral_radius(extremal(12, 3), **kwargs)
+    with pytest.raises(ValueError):
+        spectral_radius(complete(1), **kwargs)
+
+
+def test_adjacency_matrix_from_bitmasks():
+    g = disjoint_union([cycle(5), complete(4), path(3)])
+    a = adjacency_matrix(g)
+    assert a.shape == (12, 12) and a.dtype == np.float64
+    assert [tuple(int(x) for x in np.flatnonzero(row)) for row in a] == [
+        tuple(u for u in range(g.n) if g.has_edge(v, u)) for v in range(g.n)
+    ]
+    assert adjacency_matrix(complete(0)).shape == (0, 0)
+
+
+def test_power_iteration_output_is_pinned():
+    # every bit of (rho, iterations, residual) on connected draws, extremal
+    # graphs and one disconnected graph; any change to the iteration's
+    # floating-point operations or their order moves this hash
+    rng = SplitMix64(2024)
+    graphs = [
+        complete_minus_random_edges(n, rng.randrange(comb(n, 2) + 1), rng)
+        for n in (4, 6, 8, 10, 12, 16, 24)
+        for _ in range(30)
+    ]
+    graphs += [extremal(n, d) for n, d in ((8, 2), (14, 3), (20, 4), (26, 5))]
+    graphs.append(disjoint_union([cycle(5), complete(4), path(3)]))
+    lines = "".join(
+        f"{r.rho.hex()} {r.iterations} {r.residual.hex()}\n"
+        for r in map(spectral_radius, graphs)
+    )
+    assert len(graphs) == 215
+    assert hashlib.sha256(lines.encode()).hexdigest() == (
+        "1c1417f4a81932d88e746bdbfb0eecdfdbefc809ba83d6918c7dbb4659c7a66d"
+    )
 
 
 class TestQuotients:
