@@ -26,7 +26,7 @@ from .factor import (
 from .graph6 import write_graph6
 from .graphs import FamilySpec, Graph, build_family, extremal, merged_family
 from .rng import SplitMix64, complete_minus_random_edges
-from .spectral import spectral_radius
+from .spectral import spectral_radii, spectral_radius
 from .thresholds import (
     GUARANTEED_BY_EDGES,
     GUARANTEED_BY_SPECTRAL,
@@ -157,7 +157,10 @@ def lemma_merge_sweep(max_n: int, max_s: int, ps: Iterable[int]) -> SweepReport:
         seed=0,
         params={"max_n": max_n, "max_s": max_s, "ps": ps},
     )
-    row_id = 0
+    # every family is built first, in the order a per-graph loop would visit
+    # them, so that one spectral_radii call covers the sweep
+    graphs: list[Graph] = []
+    cases: list[tuple[int, int]] = []  # (family, its merged family) in graphs
     for s in range(1, max_s + 1):
         for p in ps:
             for n in range(s + 2 * p, max_n + 1):
@@ -166,32 +169,35 @@ def lemma_merge_sweep(max_n: int, max_s: int, ps: Iterable[int]) -> SweepReport:
                     big = total - p * (t - 1)
                     if big - 1 < p:
                         continue
-                    merged = build_family(merged_family(n, s, t, p))
-                    e_merged, rho_merged = merged.edge_count, spectral_radius(merged).rho
+                    merged = len(graphs)
+                    graphs.append(build_family(merged_family(n, s, t, p)))
                     for parts in _partitions(total, t, p, big - 1):
-                        gl = build_family(FamilySpec(s, parts))
-                        rho_l = spectral_radius(gl).rho
-                        edge_ok = gl.edge_count < e_merged
-                        rho_ok = rho_l < rho_merged - RHO_STRICT_MARGIN
-                        row = _row(
-                            "lemma_merge",
-                            0,
-                            row_id,
-                            gl,
-                            rho=rho_l,
-                            e_thr=e_merged,
-                            rho_thr=rho_merged,
-                            meets_e=edge_ok,
-                            meets_rho=rho_ok,
-                            is_extremal=False,
-                        )
-                        row_id += 1
-                        report.rows.append(row)
-                        if not (edge_ok and rho_ok):
-                            report.counterexamples.append(row)
-    if not row_id:
+                        cases.append((len(graphs), merged))
+                        graphs.append(build_family(FamilySpec(s, parts)))
+    if not cases:
         raise ValueError(f"no lemma instance for max_n={max_n}, max_s={max_s}, ps={ps}")
-    report.findings["instances"] = row_id
+    radii = spectral_radii(graphs)
+    for row_id, (i, m) in enumerate(cases):
+        gl, rho_l = graphs[i], radii[i].rho
+        e_merged, rho_merged = graphs[m].edge_count, radii[m].rho
+        edge_ok = gl.edge_count < e_merged
+        rho_ok = rho_l < rho_merged - RHO_STRICT_MARGIN
+        row = _row(
+            "lemma_merge",
+            0,
+            row_id,
+            gl,
+            rho=rho_l,
+            e_thr=e_merged,
+            rho_thr=rho_merged,
+            meets_e=edge_ok,
+            meets_rho=rho_ok,
+            is_extremal=False,
+        )
+        report.rows.append(row)
+        if not (edge_ok and rho_ok):
+            report.counterexamples.append(row)
+    report.findings["instances"] = len(cases)
     return report
 
 
@@ -250,7 +256,8 @@ def soundness_sweep(
         },
     )
     rng = SplitMix64(seed)
-    accepted: list[tuple[Graph, float, int, float, bool]] = []
+    accepted: list[tuple[Graph, int, float, bool]] = []
+    rhos: list[float] = []
     sampler_failures = 0
     for n in ns:
         e_thr = edge_threshold(n, delta)
@@ -263,19 +270,24 @@ def soundness_sweep(
                 g = complete_minus_random_edges(n, k, rng)
                 if (g.min_degree() or 0) < delta or not g.is_connected():
                     continue
-                rho = spectral_radius(g).rho
-                if which == "spectral" and rho < rho_thr - RHO_EQUALITY_TOL:
-                    continue
-                drawn = (g, rho)
+                if which == "spectral":
+                    # the spectral route's rejection needs rho of every draw
+                    rho = spectral_radius(g).rho
+                    if rho < rho_thr - RHO_EQUALITY_TOL:
+                        continue
+                    rhos.append(rho)
+                drawn = g
                 break
             if drawn is None:
                 sampler_failures += 1
                 continue
-            g, rho = drawn
-            is_ext = recognize_extremal(g) == (n, delta)
-            accepted.append((g, rho, e_thr, rho_thr, is_ext))
+            is_ext = recognize_extremal(drawn) == (n, delta)
+            accepted.append((drawn, e_thr, rho_thr, is_ext))
 
     graphs = [g for g, *_ in accepted]
+    if which == "edges":
+        # rho does not steer the edge-route sampler: one call after sampling
+        rhos = [r.rho for r in spectral_radii(graphs)]
     # a fork-start pool launches every worker at the first submit
     workers = min(jobs, os.cpu_count() or 1, len(graphs))
     if workers > 1:
@@ -288,8 +300,8 @@ def soundness_sweep(
         outcomes = [_evaluate_oracle(g) for g in graphs]
 
     unknowns = 0
-    for row_id, ((g, rho, e_thr, rho_thr, is_ext), (status, cost, ms)) in enumerate(
-        zip(accepted, outcomes)
+    for row_id, ((g, e_thr, rho_thr, is_ext), rho, (status, cost, ms)) in enumerate(
+        zip(accepted, rhos, outcomes)
     ):
         row = _row(
             report.campaign,
@@ -401,15 +413,17 @@ def _tightness_row(row_id: int, h: Graph, delta: int) -> tuple[dict, Verdict, Ev
 
 def subgraph_monotonicity_sweep(samples: int, seed: int) -> SweepReport:
     """Random connected graph plus a random missing edge: the spectral radius
-    must not drop (strict growth up to solver error)."""
+    must not drop (strict growth up to solver error).  At least one sample is
+    required."""
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     report = SweepReport(
         campaign="subgraph_monotonicity", seed=seed, params={"samples": samples}
     )
     rng = SplitMix64(seed)
-    margins = []
-    row_id = 0
+    pairs: list[Graph] = []  # each draw followed by its one-edge supergraph
     skipped_complete = 0
-    while row_id < samples:
+    while len(pairs) < 2 * samples:
         n = 4 + rng.randrange(7)
         m_lo = n - 1
         m_hi = comb(n, 2)
@@ -422,9 +436,13 @@ def subgraph_monotonicity_sweep(samples: int, seed: int) -> SweepReport:
             skipped_complete += 1
             continue
         u, v = missing[rng.randrange(len(missing))]
-        g2 = g.with_edge(u, v)
-        rho1 = spectral_radius(g, tol=MONOTONICITY_TOL).rho
-        rho2 = spectral_radius(g2, tol=MONOTONICITY_TOL).rho
+        pairs += (g, g.with_edge(u, v))
+    # rho does not steer the sampler: one call after sampling
+    radii = spectral_radii(pairs, tol=MONOTONICITY_TOL)
+    margins = []
+    for row_id in range(samples):
+        g = pairs[2 * row_id]
+        rho1, rho2 = radii[2 * row_id].rho, radii[2 * row_id + 1].rho
         ok = rho2 > rho1 - 2 * MONOTONICITY_TOL
         margins.append(rho2 - rho1)
         row = _row(
@@ -442,8 +460,7 @@ def subgraph_monotonicity_sweep(samples: int, seed: int) -> SweepReport:
         report.rows.append(row)
         if not ok:
             report.counterexamples.append(row)
-        row_id += 1
     report.findings["skipped_complete_draws"] = skipped_complete
-    report.findings["min_margin"] = min(margins) if margins else None
-    report.findings["max_margin"] = max(margins) if margins else None
+    report.findings["min_margin"] = min(margins)
+    report.findings["max_margin"] = max(margins)
     return report

@@ -6,17 +6,21 @@ moves every eigenvalue up by one, and removes the +/- oscillation that stalls
 convergence on bipartite-like graphs.  The reported residual ||Av - rho*v||_inf
 is identical to the shifted residual, so the guarantee is stated for A itself.
 
-A + I is unpacked from the adjacency bitmasks in one numpy call.  A connected
-graph iterates on it directly; only a disconnected graph pays for one
-submatrix per component.  numpy is imported inside the functions that use it,
-so importing this module (and the CLI) does not load it.
+`spectral_radii` iterates the connected blocks of many graphs at once: the
+blocks of one order are unpacked from the adjacency bitmasks into (B, k, k)
+stacks of A + I and iterated together, each block with the same
+floating-point operations it would get alone, so the results are bit for bit
+those of `spectral_radius`.  A connected graph's rows are its masks; only a
+component of a disconnected graph is relabelled.  numpy is imported inside
+the functions that use it, so importing this module (and the CLI) does not
+load it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from .graphs import Graph, mask_vertices
 
@@ -24,6 +28,11 @@ if TYPE_CHECKING:
     import numpy as np
 
 ROOT_TOL = 1e-12
+
+# the most bytes of float64 matrices one stack of blocks holds, so that the
+# matrices in memory at once stay bounded however many graphs a campaign
+# passes (the merge-lemma sweep's order-14 blocks alone would take 510 KiB)
+STACK_BYTES = 1 << 17
 
 
 class PowerIterationError(RuntimeError):
@@ -44,32 +53,47 @@ class SpectralResult:
     residual: float
 
 
-def _bit_matrix(g: Graph, diagonal: int) -> np.ndarray:
-    """The 0/1 float matrix whose row v holds the bits of adj[v] | diagonal << v:
-    A for diagonal 0, A + I for diagonal 1.  The rows' little-endian bytes are
-    joined and unpacked in one call."""
+def _pack_rows(rows: Iterable[int], k: int) -> bytes:
+    """The low k bits of each row as little-endian bytes, ready for
+    `_unpack_rows`."""
+    width = (k + 7) // 8
+    return b"".join(m.to_bytes(width, "little") for m in rows)
+
+
+def _unpack_rows(packed: bytes, count: int, k: int) -> np.ndarray:
+    """The (count, k) 0/1 float matrix of `count` packed rows, unpacked in
+    one numpy call."""
     import numpy as np
 
-    width = (g.n + 7) // 8
-    rows = b"".join(
-        (m | diagonal << v).to_bytes(width, "little") for v, m in enumerate(g.adj)
-    )
-    packed = np.frombuffer(rows, dtype=np.uint8).reshape(g.n, width)
-    return np.unpackbits(packed, axis=1, count=g.n, bitorder="little").astype(float)
+    bits = np.frombuffer(packed, dtype=np.uint8).reshape(count, (k + 7) // 8)
+    return np.unpackbits(bits, axis=1, count=k, bitorder="little").astype(float)
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
-    return _bit_matrix(g, 0)
+    return _unpack_rows(_pack_rows(g.adj, g.n), g.n, g.n)
+
+
+def _shifted_rows(g: Graph, comp: int) -> Iterable[int]:
+    """Rows of A + I restricted to the component `comp`, relabelled 0..k-1.
+    A connected graph's rows are its masks plus the diagonal bit; only a
+    component of a disconnected graph pays for relabelling."""
+    if comp == (1 << g.n) - 1:
+        return (m | 1 << v for v, m in enumerate(g.adj))
+    verts = mask_vertices(comp)
+    return [
+        sum(1 << j for j, u in enumerate(verts) if (g.adj[v] | 1 << v) >> u & 1)
+        for v in verts
+    ]
 
 
 def _power_iterate(shifted: np.ndarray, tol: float, max_iter: int) -> tuple[float, int, float]:
-    """Power iteration on a connected block of A + I; returns the estimate of
-    rho(A), the iterations used and the final residual."""
+    """Power iteration on one connected block of A + I, of order at least 2.
+    Returns the estimate of rho(A), the iterations used and the residual.
+    A block that does not converge within max_iter iterations returns its
+    best estimate and residual instead; that residual exceeds tol."""
     import numpy as np
 
     k = shifted.shape[0]
-    if k == 1:
-        return 0.0, 0, 0.0
     v = np.full(k, 1.0 / np.sqrt(k))
     best = (0.0, np.inf)
     for it in range(1, max_iter + 1):
@@ -82,38 +106,135 @@ def _power_iterate(shifted: np.ndarray, tol: float, max_iter: int) -> tuple[floa
             best = (lam - 1.0, residual)
         # exactly what np.linalg.norm computes for a 1-D float vector
         v = w / math.sqrt(w.dot(w))
-    raise PowerIterationError(
-        f"no convergence within {max_iter} iterations", best[0], best[1]
-    )
+    return best[0], max_iter, best[1]
+
+
+def _power_iterate_stack(
+    stack: np.ndarray, tol: float, max_iter: int
+) -> list[tuple[float, int, float]]:
+    """`_power_iterate` on every block of a C-contiguous (B, k, k) stack at
+    once, with the same floating-point operations per block: `stack @ v` is
+    each block's gemv and `v^T @ w` each block's dot.  The stack is
+    reordered in place."""
+    import numpy as np
+
+    b, k, _ = stack.shape
+    rho = np.zeros(b)
+    iterations = np.zeros(b, dtype=np.int64)
+    residual = np.zeros(b)
+    live = np.arange(b)
+    best_rho = np.zeros(b)
+    best_res = np.full(b, np.inf)
+    v = np.full((b, k, 1), 1.0 / np.sqrt(k))
+    for it in range(1, max_iter + 1):
+        w = stack @ v
+        lam = v.transpose(0, 2, 1) @ w
+        res = np.abs(w - lam * v).max(axis=(1, 2))
+        est = lam[:, 0, 0] - 1.0
+        # a converging residual is below every earlier one, so the best
+        # pair is the result of a converged block
+        better = res < best_res
+        best_rho = np.where(better, est, best_rho)
+        best_res = np.where(better, res, best_res)
+        done = res <= tol
+        if done.any():
+            rho[live[done]] = est[done]
+            residual[live[done]] = res[done]
+            iterations[live[done]] = it
+            m = len(done) - int(np.count_nonzero(done))
+            if not m:
+                break
+            # converged blocks leave the stack: the live blocks past the
+            # first m are copied into their places, and the stack shrinks to
+            # its first m blocks, still one C-contiguous array
+            holes = np.flatnonzero(done[:m])
+            movers = m + np.flatnonzero(~done[m:])
+            for a in (stack, w, live, best_rho, best_res):
+                a[holes] = a[movers]
+            stack, w, live = stack[:m], w[:m], live[:m]
+            best_rho, best_res = best_rho[:m], best_res[:m]
+        v = w / np.sqrt(w.transpose(0, 2, 1) @ w)
+    else:
+        rho[live] = best_rho
+        residual[live] = best_res
+    return list(zip(rho.tolist(), iterations.tolist(), residual.tolist()))
+
+
+def spectral_radii(
+    graphs: Iterable[Graph], tol: float = 1e-10, max_iter: int = 10**6
+) -> list[SpectralResult]:
+    """`[spectral_radius(g, tol, max_iter) for g in graphs]`, bit for bit and
+    error for error, with the connected blocks of all graphs iterated
+    together.  The graphs are read once and not kept: each block's rows of
+    A + I are packed under its order as they arrive, and the blocks of one
+    order are then unpacked into (B, k, k) stacks of at most STACK_BYTES.
+    A stack of a single block runs the 2-D kernel, which is cheaper at
+    B = 1."""
+    packed: dict[int, bytearray] = {}
+    counts: dict[int, int] = {}
+    # per graph, (order, position in that order's stack) of each component
+    layouts: list[list[tuple[int, int]]] = []
+    empty = False
+    for g in graphs:
+        if g.n < 1:
+            # a loop would stop here, after the graphs before this one
+            empty = True
+            break
+        if not layouts:
+            if not tol >= 0:
+                raise ValueError(f"tolerance must be at least 0, got {tol}")
+            if not max_iter >= 1:
+                raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+        layout = []
+        for comp in g.components():
+            k = comp.bit_count()
+            pos = counts.get(k, 0)
+            if k > 1:
+                counts[k] = pos + 1
+                packed.setdefault(k, bytearray()).extend(_pack_rows(_shifted_rows(g, comp), k))
+            layout.append((k, pos))
+        layouts.append(layout)
+
+    # a single vertex has rho 0 and needs no iteration
+    outcomes = {1: [(0.0, 0, 0.0)]}
+    for k, rows in packed.items():
+        width = (k + 7) // 8
+        per_stack = max(1, STACK_BYTES // (8 * k * k))
+        found = outcomes[k] = []
+        for first in range(0, counts[k], per_stack):
+            b = min(per_stack, counts[k] - first)
+            chunk = rows[first * k * width : (first + b) * k * width]
+            stack = _unpack_rows(chunk, b * k, k)
+            if b == 1:
+                found.append(_power_iterate(stack, tol, max_iter))
+            else:
+                found += _power_iterate_stack(stack.reshape(b, k, k), tol, max_iter)
+
+    results = []
+    for layout in layouts:
+        rho = 0.0
+        iterations = 0
+        residual = 0.0
+        for k, pos in layout:
+            r, it, res = outcomes[k][pos]
+            if res > tol:
+                raise PowerIterationError(
+                    f"no convergence within {max_iter} iterations", r, res
+                )
+            iterations += it
+            residual = max(residual, res)
+            rho = max(rho, r)
+        results.append(SpectralResult(rho=rho, iterations=iterations, residual=residual))
+    if empty:
+        raise ValueError("spectral radius needs at least one vertex")
+    return results
 
 
 def spectral_radius(g: Graph, tol: float = 1e-10, max_iter: int = 10**6) -> SpectralResult:
     """Largest adjacency eigenvalue; the maximum over components when
     disconnected.  Deterministic: the start vector is all-ones.  Needs
     tol >= 0 (NaN is rejected) and max_iter >= 1."""
-    if g.n < 1:
-        raise ValueError("spectral radius needs at least one vertex")
-    if not tol >= 0:
-        raise ValueError(f"tolerance must be at least 0, got {tol}")
-    if not max_iter >= 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    import numpy as np
-
-    shifted = _bit_matrix(g, 1)
-    blocks = [shifted]
-    comps = g.components()
-    if len(comps) > 1:
-        # a connected graph iterates on A + I itself, with no submatrix copy
-        blocks = [shifted[np.ix_(idx, idx)] for idx in map(mask_vertices, comps)]
-    rho = 0.0
-    iterations = 0
-    residual = 0.0
-    for block in blocks:
-        r, it, res = _power_iterate(block, tol, max_iter)
-        iterations += it
-        residual = max(residual, res)
-        rho = max(rho, r)
-    return SpectralResult(rho=rho, iterations=iterations, residual=residual)
+    return spectral_radii([g], tol, max_iter)[0]
 
 
 # --- quotient matrices of the split-family equitable partitions ---------------

@@ -1,4 +1,5 @@
 import concurrent.futures
+import hashlib
 import json
 
 import pytest
@@ -19,6 +20,11 @@ from evenfactor.harness import (
 
 def rows_without_timing(report):
     return [{k: v for k, v in row.items() if k != "elapsed_ms"} for row in report.rows]
+
+
+def digest(obj) -> str:
+    # floats serialise as their shortest round-trip repr, so every bit counts
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
 
 
 class TestLemmaMergeSweep:
@@ -53,6 +59,16 @@ class TestLemmaMergeSweep:
         rep = lemma_merge_sweep(12, 3, [1, 2])
         assert rep.passed
         assert rep.findings["instances"] == len(rep.rows) > 100
+
+    def test_output_is_pinned(self):
+        # every row (rho to the last bit), finding and counterexample of the
+        # benchmark's lemma sweep; a change to how or in what order radii are
+        # computed must not move it
+        rep = lemma_merge_sweep(14, 4, [1, 2])
+        assert rep.findings["instances"] == 824
+        assert digest([rows_without_timing(rep), rep.findings, rep.counterexamples]) == (
+            "3537c67b99a975729fd0af410e637bd49e9cea239737be83ae8599bda7414d97"
+        )
 
     def test_rows_recompute_from_graph6(self):
         rep = lemma_merge_sweep(10, 2, [1, 2])
@@ -145,6 +161,21 @@ class TestSoundnessSweep:
         seq = soundness_sweep(ns=[8], delta=2, samples=samples, seed=9, jobs=1)
         assert rows_without_timing(rep) == rows_without_timing(seq)
 
+    @pytest.mark.parametrize(
+        "which, ns, delta, expected",
+        [
+            ("edges", [8, 10], 2, "2ab88a0866522aa7602c039309aeb21de136a66a98363715bf001688635bc014"),
+            ("edges", [14], 3, "e065c8dc628c467b71a492591d653ca36158238b463331dc0dc28d36afd19876"),
+            ("spectral", [8, 10], 2, "7632f47fbd750e81417f8b02c21f8c3e9b13d0263865be458b42690231179cab"),
+            ("spectral", [14], 3, "1f730b14ac62d069d17a659e8c25492df62a970f40f5d7c1d1d7fc15ef0aab42"),
+        ],
+    )
+    def test_rows_are_pinned(self, which, ns, delta, expected):
+        # every column but elapsed_ms, rho to the last bit
+        rep = soundness_sweep(ns=ns, delta=delta, samples=100, seed=11, which=which)
+        assert len(rep.rows) == 100 * len(ns)
+        assert digest(rows_without_timing(rep)) == expected
+
     def test_rows_recompute_from_graph6(self):
         rep = soundness_sweep(ns=[8], delta=2, samples=40, seed=3, which="edges")
         for row in rep.rows:
@@ -194,6 +225,17 @@ class TestMonotonicitySweep:
         assert rep.passed
         assert len(rep.rows) == 120
         assert rep.findings["min_margin"] > -2e-10
+
+    def test_output_is_pinned(self):
+        rep = subgraph_monotonicity_sweep(samples=60, seed=3)
+        assert digest([rows_without_timing(rep), rep.findings]) == (
+            "2e495f5d9dc0b72a42b908ca59812ddeb852c26a2ca53888a566dffa2d752fd1"
+        )
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_empty_sweep_rejected(self, samples):
+        with pytest.raises(ValueError, match="samples must be at least 1"):
+            subgraph_monotonicity_sweep(samples=samples, seed=1)
 
     def test_deterministic(self):
         a = subgraph_monotonicity_sweep(samples=30, seed=4)

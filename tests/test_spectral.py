@@ -4,6 +4,7 @@ from math import comb
 import numpy as np
 import pytest
 
+from evenfactor import spectral
 from evenfactor.graphs import (
     FamilySpec,
     build_family,
@@ -23,6 +24,7 @@ from evenfactor.spectral import (
     largest_real_root,
     quotient_merged_core,
     quotient_small_cliques,
+    spectral_radii,
     spectral_radius,
 )
 
@@ -119,10 +121,8 @@ def test_adjacency_matrix_from_bitmasks():
     assert adjacency_matrix(complete(0)).shape == (0, 0)
 
 
-def test_power_iteration_output_is_pinned():
-    # every bit of (rho, iterations, residual) on connected draws, extremal
-    # graphs and one disconnected graph; any change to the iteration's
-    # floating-point operations or their order moves this hash
+def pinned_graphs():
+    """Connected draws, extremal graphs and one disconnected graph."""
     rng = SplitMix64(2024)
     graphs = [
         complete_minus_random_edges(n, rng.randrange(comb(n, 2) + 1), rng)
@@ -131,14 +131,147 @@ def test_power_iteration_output_is_pinned():
     ]
     graphs += [extremal(n, d) for n, d in ((8, 2), (14, 3), (20, 4), (26, 5))]
     graphs.append(disjoint_union([cycle(5), complete(4), path(3)]))
+    return graphs
+
+
+def bits(r):
+    return (r.rho.hex(), r.iterations, r.residual.hex())
+
+
+def test_power_iteration_output_is_pinned():
+    # every bit of (rho, iterations, residual) on the pinned graphs; any
+    # change to the iteration's floating-point operations or their order
+    # moves this hash
+    graphs = pinned_graphs()
     lines = "".join(
-        f"{r.rho.hex()} {r.iterations} {r.residual.hex()}\n"
-        for r in map(spectral_radius, graphs)
+        "{} {} {}\n".format(*bits(r)) for r in map(spectral_radius, graphs)
     )
     assert len(graphs) == 215
     assert hashlib.sha256(lines.encode()).hexdigest() == (
         "1c1417f4a81932d88e746bdbfb0eecdfdbefc809ba83d6918c7dbb4659c7a66d"
     )
+
+
+def mixed_graphs(seed, count):
+    """Random graphs of mixed orders; a quarter are disjoint unions of a few
+    small parts, so equal-order components of one graph share a stack."""
+    rng = SplitMix64(seed)
+    graphs = []
+    for _ in range(count):
+        if rng.randrange(4):
+            n = 1 + rng.randrange(20)
+            graphs.append(complete_minus_random_edges(n, rng.randrange(comb(n, 2) + 1), rng))
+        else:
+            parts = []
+            for _ in range(2 + rng.randrange(3)):
+                k = 1 + rng.randrange(6)
+                parts.append(complete_minus_random_edges(k, rng.randrange(comb(k, 2) + 1), rng))
+            graphs.append(disjoint_union(parts))
+    return graphs
+
+
+def first_error(graphs, **kwargs):
+    """The exception the loop [spectral_radius(g) for g in graphs] raises."""
+    for g in graphs:
+        try:
+            spectral_radius(g, **kwargs)
+        except (PowerIterationError, ValueError) as exc:
+            return exc
+    return None
+
+
+def assert_same_error(graphs, **kwargs):
+    expected = first_error(graphs, **kwargs)
+    assert expected is not None
+    with pytest.raises(type(expected)) as exc:
+        spectral_radii(graphs, **kwargs)
+    assert str(exc.value) == str(expected)
+    if isinstance(expected, PowerIterationError):
+        assert exc.value.estimate.hex() == expected.estimate.hex()
+        assert exc.value.residual.hex() == expected.residual.hex()
+
+
+class TestSpectralRadii:
+    def test_pinned_graphs_bitwise(self):
+        graphs = pinned_graphs()
+        assert list(map(bits, spectral_radii(graphs))) == [
+            bits(spectral_radius(g)) for g in graphs
+        ]
+
+    def test_mixed_orders_bitwise(self):
+        graphs = mixed_graphs(31, 300)
+        # the draws do exercise stacks of several same-order components
+        assert any(
+            len({c.bit_count() for c in g.components()}) < len(g.components())
+            for g in graphs
+        )
+        for kwargs in ({}, {"tol": 1e-6, "max_iter": 500}):
+            assert list(map(bits, spectral_radii(graphs, **kwargs))) == [
+                bits(spectral_radius(g, **kwargs)) for g in graphs
+            ]
+        # the graphs are read once, so a generator will do
+        assert spectral_radii(g for g in graphs) == spectral_radii(graphs)
+
+    def test_stack_cap_does_not_change_results(self, monkeypatch):
+        # three order-10 blocks a stack: six full stacks, then one block alone
+        graphs = [complete_minus_random_edges(10, e, SplitMix64(e)) for e in range(1, 20)]
+        assert all(g.is_connected() for g in graphs)
+        expected = [bits(spectral_radius(g)) for g in graphs]
+        monkeypatch.setattr(spectral, "STACK_BYTES", 3 * 8 * 10 * 10)
+        assert list(map(bits, spectral_radii(graphs))) == expected
+
+    def test_single_vertices(self):
+        graphs = [complete(1), disjoint_union([complete(1)] * 3), complete(1)]
+        assert [bits(r) for r in spectral_radii(graphs)] == [("0x0.0p+0", 0, "0x0.0p+0")] * 3
+
+    def test_empty_list(self):
+        assert spectral_radii([]) == []
+
+    def test_nonconvergence_names_first_failing_block(self):
+        # graph 1 fails first, in its second component (a path on 14
+        # vertices).  Its third component, a path on 16 vertices, fails too
+        # and shares a stack with graph 0's K_16, which comes first; graphs 2
+        # and 3 fail as well.  A wrong pick shows in the estimate.
+        graphs = [
+            complete(16),
+            disjoint_union([complete(3), path(14), path(16)]),
+            path(14),
+            path(20),
+        ]
+        kwargs = {"tol": 1e-13, "max_iter": 200}
+        assert_same_error(graphs, **kwargs)
+        with pytest.raises(PowerIterationError) as exc:
+            spectral_radii(graphs, **kwargs)
+        assert exc.value.estimate == first_error([path(14)], **kwargs).estimate
+
+    def test_nonconvergence_on_random_graphs(self):
+        # sparse draws on up to 29 vertices, many of them disconnected; 5 to
+        # 14 of each 60 fail to converge within 100 iterations
+        from evenfactor.rng import random_graph_with_edges
+
+        for seed in (1, 2, 3):
+            rng = SplitMix64(seed)
+            graphs = []
+            for _ in range(60):
+                n = 2 + rng.randrange(28)
+                m = rng.randrange(min(2 * n, comb(n, 2) + 1))
+                graphs.append(random_graph_with_edges(n, m, rng))
+            assert_same_error(graphs, tol=1e-13, max_iter=100)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"tol": -1.0}, {"tol": float("nan")}, {"max_iter": 0}, {"max_iter": -5}],
+    )
+    def test_argument_errors_match(self, kwargs):
+        assert_same_error([extremal(12, 3), complete(1)], **kwargs)
+
+    def test_zero_vertex_graph_errors_match(self):
+        assert_same_error([complete(0), complete(3)])
+        assert_same_error([complete(0)], tol=-1.0)
+        assert_same_error([complete(3), complete(0)], tol=-1.0)
+        assert_same_error([cycle(5), complete(0), path(4)])
+        # a graph before the empty one that fails to converge raises first
+        assert_same_error([path(20), complete(0)], tol=1e-13, max_iter=200)
 
 
 class TestQuotients:
