@@ -176,6 +176,32 @@ class TestSoundnessSweep:
         assert len(rep.rows) == 100 * len(ns)
         assert digest(rows_without_timing(rep)) == expected
 
+    @pytest.mark.parametrize(
+        "budget, which, ns, delta, failures, expected",
+        [
+            # every edge-route draw passes the filter here, so its rows equal
+            # the budget-500 pins
+            (1, "edges", [8, 10], 2, 0, "2ab88a0866522aa7602c039309aeb21de136a66a98363715bf001688635bc014"),
+            (1, "edges", [14], 3, 0, "e065c8dc628c467b71a492591d653ca36158238b463331dc0dc28d36afd19876"),
+            (1, "spectral", [8, 10], 2, 52, "9ff9b81bd6d36eb2c7457a4ffe695b697db0d9175a7df305da861be38ec5839a"),
+            (1, "spectral", [14], 3, 29, "522c2ec74711e934957f238db8bb9315e2048ace6a5662e5a2eb7fabb8f8d5d9"),
+            (2, "edges", [8, 10], 2, 0, "2ab88a0866522aa7602c039309aeb21de136a66a98363715bf001688635bc014"),
+            (2, "edges", [14], 3, 0, "e065c8dc628c467b71a492591d653ca36158238b463331dc0dc28d36afd19876"),
+            (2, "spectral", [8, 10], 2, 10, "a50c3e7a3f1a4bb546d2826b8bea9e87a361e48af91ab15702faaad3dbc37ea2"),
+            (2, "spectral", [14], 3, 7, "119a7ce34ffa31958d06f2ca9b2e343d33e33067618e7146ca333654623a67f0"),
+        ],
+    )
+    def test_sampler_failures_are_pinned(
+        self, monkeypatch, budget, which, ns, delta, failures, expected
+    ):
+        # a tiny retry budget forces the give-up path; the draws a failed
+        # sample used must not shift the stream of the samples after it
+        monkeypatch.setattr(harness, "RETRY_BUDGET", budget)
+        rep = soundness_sweep(ns=ns, delta=delta, samples=100, seed=11, which=which)
+        assert rep.findings["sampler_failures"] == failures
+        assert len(rep.rows) + failures == 100 * len(ns)
+        assert digest(rows_without_timing(rep)) == expected
+
     def test_rows_recompute_from_graph6(self):
         rep = soundness_sweep(ns=[8], delta=2, samples=40, seed=3, which="edges")
         for row in rep.rows:
