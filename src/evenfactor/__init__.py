@@ -39,7 +39,6 @@ from .harness import (
     SweepReport,
     lemma_merge_sweep,
     soundness_sweep,
-    subgraph_monotonicity_sweep,
     tightness_report,
 )
 from .identities import (

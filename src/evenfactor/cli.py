@@ -80,6 +80,18 @@ def _print_graph(g: Graph, fmt: str) -> None:
         print(write_graph6(g))
 
 
+def _check_out(path: str) -> None:
+    """Refuse an --out path that open() would reject, before the campaign
+    that fills it runs."""
+    target = Path(path)
+    if (
+        target.is_dir()
+        or not target.parent.is_dir()
+        or not os.access(target if target.exists() else target.parent, os.W_OK)
+    ):
+        raise ValueError(f"cannot write --out {path}")
+
+
 def _int_list(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok.strip()]
 
@@ -239,6 +251,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    _check_out(args.out)
     report = soundness_sweep(
         ns=args.n,
         delta=args.delta,
@@ -261,6 +274,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    _check_out(args.out)
     report = tightness_report(args.n, args.delta)
     with open(args.out, "w") as fh:
         json.dump(report.to_json_dict(), fh, indent=2)

@@ -1,5 +1,5 @@
-"""Experiment campaigns: merge-lemma sweeps, guarantee soundness sweeps,
-threshold tightness reports, and spectral monotonicity spot checks.
+"""Experiment campaigns: merge-lemma sweeps, guarantee soundness sweeps and
+threshold tightness reports.
 
 Every campaign is deterministic given its parameters and seed; rows are
 emitted sorted by row_id in the fixed CSV schema below.  The elapsed_ms
@@ -11,7 +11,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from math import comb
+from math import comb, inf
 from typing import Iterable, Iterator
 
 from .factor import (
@@ -26,7 +26,7 @@ from .factor import (
 from .graph6 import write_graph6
 from .graphs import FamilySpec, Graph, build_family, extremal, merged_family
 from .rng import SplitMix64, complete_minus_random_edges
-from .spectral import spectral_radii, spectral_radius
+from .spectral import spectral_radii
 from .thresholds import (
     GUARANTEED_BY_EDGES,
     GUARANTEED_BY_SPECTRAL,
@@ -59,10 +59,6 @@ CSV_COLUMNS = [
 ]
 
 RHO_STRICT_MARGIN = 1e-9
-
-# power-iteration tolerance of the monotonicity check; a drop of less than
-# twice it counts as solver error
-MONOTONICITY_TOL = 1e-10
 
 # draws the sampler may reject before it gives up on one sample
 RETRY_BUDGET = 500
@@ -228,6 +224,13 @@ def soundness_sweep(
     the complement-edge budget), then assert the oracle finds an even factor
     on every non-extremal draw.  Extremal draws are logged, not asserted.
 
+    Both routes sample in rounds: each n draws one graph per sample still
+    open and computes the radii of the draws that pass the min-degree and
+    connectivity filter in one spectral_radii call, then walks the draws in
+    order through the per-sample accept and RETRY_BUDGET logic.  Every open
+    sample needs at least one more draw, so a round never draws past the
+    last one used and the rows equal a draw-at-a-time loop's bit for bit.
+
     Every n must meet the hypotheses of the route named by `which` (1.1 for
     edges, 1.2 for spectral).  The oracle runs in up to `jobs` worker
     processes, never more than there are CPUs or draws; the rows do not
@@ -256,38 +259,38 @@ def soundness_sweep(
         },
     )
     rng = SplitMix64(seed)
-    accepted: list[tuple[Graph, int, float, bool]] = []
-    rhos: list[float] = []
+    accepted: list[tuple[Graph, float, int, float, bool]] = []
     sampler_failures = 0
     for n in ns:
         e_thr = edge_threshold(n, delta)
         rho_thr = spectral_threshold(n, delta)
+        # the edge route accepts a draw whatever its rho
+        rho_floor = rho_thr - RHO_EQUALITY_TOL if which == "spectral" else -inf
         budget = comb(n, 2) - e_thr
-        for _ in range(samples):
-            drawn = None
-            for _attempt in range(RETRY_BUDGET):
+        left = samples
+        attempts = 0  # rejected draws of the sample now open
+        while left:
+            # one draw per open sample: each needs at least one more
+            kept = []
+            for _ in range(left):
                 k = rng.randrange(budget + 1)
                 g = complete_minus_random_edges(n, k, rng)
-                if (g.min_degree() or 0) < delta or not g.is_connected():
-                    continue
-                if which == "spectral":
-                    # the spectral route's rejection needs rho of every draw
-                    rho = spectral_radius(g).rho
-                    if rho < rho_thr - RHO_EQUALITY_TOL:
+                kept.append(g if (g.min_degree() or 0) >= delta and g.is_connected() else None)
+            radii = iter(spectral_radii([g for g in kept if g is not None]))
+            for g in kept:
+                rho = None if g is None else next(radii).rho
+                if rho is None or rho < rho_floor:
+                    attempts += 1
+                    if attempts < RETRY_BUDGET:
                         continue
-                    rhos.append(rho)
-                drawn = g
-                break
-            if drawn is None:
-                sampler_failures += 1
-                continue
-            is_ext = recognize_extremal(drawn) == (n, delta)
-            accepted.append((drawn, e_thr, rho_thr, is_ext))
+                    sampler_failures += 1
+                else:
+                    is_ext = recognize_extremal(g) == (n, delta)
+                    accepted.append((g, rho, e_thr, rho_thr, is_ext))
+                left -= 1
+                attempts = 0
 
     graphs = [g for g, *_ in accepted]
-    if which == "edges":
-        # rho does not steer the edge-route sampler: one call after sampling
-        rhos = [r.rho for r in spectral_radii(graphs)]
     # a fork-start pool launches every worker at the first submit
     workers = min(jobs, os.cpu_count() or 1, len(graphs))
     if workers > 1:
@@ -300,8 +303,8 @@ def soundness_sweep(
         outcomes = [_evaluate_oracle(g) for g in graphs]
 
     unknowns = 0
-    for row_id, ((g, e_thr, rho_thr, is_ext), rho, (status, cost, ms)) in enumerate(
-        zip(accepted, rhos, outcomes)
+    for row_id, ((g, rho, e_thr, rho_thr, is_ext), (status, cost, ms)) in enumerate(
+        zip(accepted, outcomes)
     ):
         row = _row(
             report.campaign,
@@ -406,61 +409,3 @@ def _tightness_row(row_id: int, h: Graph, delta: int) -> tuple[dict, Verdict, Ev
         cost_candidates=res.search_cost,
     )
     return row, vd, res
-
-
-# --- spectral monotonicity spot check -------------------------------------------
-
-
-def subgraph_monotonicity_sweep(samples: int, seed: int) -> SweepReport:
-    """Random connected graph plus a random missing edge: the spectral radius
-    must not drop (strict growth up to solver error).  At least one sample is
-    required."""
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
-    report = SweepReport(
-        campaign="subgraph_monotonicity", seed=seed, params={"samples": samples}
-    )
-    rng = SplitMix64(seed)
-    pairs: list[Graph] = []  # each draw followed by its one-edge supergraph
-    skipped_complete = 0
-    while len(pairs) < 2 * samples:
-        n = 4 + rng.randrange(7)
-        m_lo = n - 1
-        m_hi = comb(n, 2)
-        m = m_lo + rng.randrange(m_hi - m_lo + 1)
-        g = complete_minus_random_edges(n, m_hi - m, rng)
-        if not g.is_connected():
-            continue
-        missing = g.non_edges()
-        if not missing:
-            skipped_complete += 1
-            continue
-        u, v = missing[rng.randrange(len(missing))]
-        pairs += (g, g.with_edge(u, v))
-    # rho does not steer the sampler: one call after sampling
-    radii = spectral_radii(pairs, tol=MONOTONICITY_TOL)
-    margins = []
-    for row_id in range(samples):
-        g = pairs[2 * row_id]
-        rho1, rho2 = radii[2 * row_id].rho, radii[2 * row_id + 1].rho
-        ok = rho2 > rho1 - 2 * MONOTONICITY_TOL
-        margins.append(rho2 - rho1)
-        row = _row(
-            "subgraph_monotonicity",
-            seed,
-            row_id,
-            g,
-            rho=rho1,
-            e_thr=g.edge_count + 1,
-            rho_thr=rho2,
-            meets_rho=ok,
-            meets_e=True,
-            is_extremal=False,
-        )
-        report.rows.append(row)
-        if not ok:
-            report.counterexamples.append(row)
-    report.findings["skipped_complete_draws"] = skipped_complete
-    report.findings["min_margin"] = min(margins)
-    report.findings["max_margin"] = max(margins)
-    return report

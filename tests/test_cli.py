@@ -321,6 +321,29 @@ def test_report_tightness(capsys, tmp_path):
     assert blob["findings"]["extremal_oracle_finding"]["status"] == "exists"
 
 
+@pytest.mark.parametrize(
+    "argv, campaign",
+    [
+        (["sweep", "soundness", "--n", "8", "--delta", "2", "--samples", "5"], "soundness_sweep"),
+        (["report", "tightness", "--n", "8", "--delta", "2"], "tightness_report"),
+    ],
+)
+@pytest.mark.parametrize("target", ["missing/x.out", "."])
+def test_unwritable_out_exits_2_before_the_campaign(
+    capsys, monkeypatch, tmp_path, argv, campaign, target
+):
+    # a missing directory, then a directory in place of the file
+    def campaign_must_not_run(*args, **kwargs):
+        raise AssertionError("the campaign ran before --out was checked")
+
+    monkeypatch.setattr(cli, campaign, campaign_must_not_run)
+    code, out, err = run(capsys, [*argv, "--out", str(tmp_path / target)])
+    assert (code, out) == (2, "")
+    assert err.startswith("usage-error: cannot write --out ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "missing").exists()
+
+
 def test_parser_is_built_once_per_process(capsys, monkeypatch):
     run(capsys, ["threshold", "--n", "8", "--delta", "2"])
     built = []

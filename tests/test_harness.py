@@ -13,7 +13,6 @@ from evenfactor.harness import (
     csv_lines,
     lemma_merge_sweep,
     soundness_sweep,
-    subgraph_monotonicity_sweep,
     tightness_report,
 )
 
@@ -202,6 +201,28 @@ class TestSoundnessSweep:
         assert len(rep.rows) + failures == 100 * len(ns)
         assert digest(rows_without_timing(rep)) == expected
 
+    def test_spectral_route_batches_its_radii(self, monkeypatch):
+        # one spectral_radii call per sampling round, not one power iteration
+        # per draw: each round draws one graph per sample still open
+        calls = []
+        real = harness.spectral_radii
+
+        def counting(graphs):
+            graphs = list(graphs)
+            calls.append((graphs[0].n, len(graphs)))
+            return real(graphs)
+
+        monkeypatch.setattr(harness, "spectral_radii", counting)
+        rep = soundness_sweep(ns=[8, 10], delta=2, samples=100, seed=11, which="spectral")
+        assert not hasattr(harness, "spectral_radius")
+        for n in (8, 10):
+            assert sum(1 for m, _ in calls if m == n) < 25
+        assert calls == [
+            (8, 100), (8, 23), (8, 5), (8, 1),
+            (10, 100), (10, 31), (10, 6), (10, 1), (10, 1),
+        ]
+        assert len(rep.rows) == 200 <= sum(size for _, size in calls)
+
     def test_rows_recompute_from_graph6(self):
         rep = soundness_sweep(ns=[8], delta=2, samples=40, seed=3, which="edges")
         for row in rep.rows:
@@ -243,27 +264,3 @@ class TestTightnessReport:
         blob = json.loads(json.dumps(rep.to_json_dict()))
         assert blob["campaign"] == "tightness"
         assert blob["findings"]["extremal_oracle_finding"]["status"] == "exists"
-
-
-class TestMonotonicitySweep:
-    def test_no_violations(self):
-        rep = subgraph_monotonicity_sweep(samples=120, seed=7)
-        assert rep.passed
-        assert len(rep.rows) == 120
-        assert rep.findings["min_margin"] > -2e-10
-
-    def test_output_is_pinned(self):
-        rep = subgraph_monotonicity_sweep(samples=60, seed=3)
-        assert digest([rows_without_timing(rep), rep.findings]) == (
-            "2e495f5d9dc0b72a42b908ca59812ddeb852c26a2ca53888a566dffa2d752fd1"
-        )
-
-    @pytest.mark.parametrize("samples", [0, -3])
-    def test_empty_sweep_rejected(self, samples):
-        with pytest.raises(ValueError, match="samples must be at least 1"):
-            subgraph_monotonicity_sweep(samples=samples, seed=1)
-
-    def test_deterministic(self):
-        a = subgraph_monotonicity_sweep(samples=30, seed=4)
-        b = subgraph_monotonicity_sweep(samples=30, seed=4)
-        assert rows_without_timing(a) == rows_without_timing(b)
