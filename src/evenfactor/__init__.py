@@ -23,13 +23,11 @@ from .graph6 import (
 from .graphs import (
     FamilySpec,
     Graph,
-    GraphStats,
     build_family,
     complete,
     cycle,
     disjoint_union,
     extremal,
-    graph_stats,
     join,
     merged_family,
     odd_components_minus,

@@ -69,7 +69,13 @@ def _read_graph(args: argparse.Namespace) -> Graph:
     if args.graph6 is not None:
         return parse_graph6(args.graph6)
     if args.file is not None:
-        return _parse_graph_text(Path(args.file).read_text())
+        # an undecodable byte is kept as a surrogate, so that the parser
+        # reports it as a parse error rather than the read failing
+        try:
+            text = Path(args.file).read_text(errors="surrogateescape")
+        except OSError as exc:
+            raise ValueError(f"cannot read --file {args.file}: {exc.strerror}") from None
+        return _parse_graph_text(text)
     return _parse_graph_text(sys.stdin.read())
 
 

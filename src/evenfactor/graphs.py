@@ -273,26 +273,6 @@ def extremal(n: int, delta: int) -> Graph:
 # --- structural queries ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GraphStats:
-    n: int
-    edge_count: int
-    min_degree: int | None
-    is_connected: bool
-    component_sizes: tuple[int, ...]
-
-
-def graph_stats(g: Graph) -> GraphStats:
-    comps = sorted((c.bit_count() for c in g.components()), reverse=True)
-    return GraphStats(
-        n=g.n,
-        edge_count=g.edge_count,
-        min_degree=g.min_degree(),
-        is_connected=len(comps) <= 1,
-        component_sizes=tuple(comps),
-    )
-
-
 def odd_components_minus(g: Graph, s: int | Iterable[int]) -> int:
     """Number of odd-order components left after deleting the vertex set s."""
     mask = vertex_mask(s, g.n)

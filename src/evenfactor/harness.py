@@ -11,7 +11,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from math import comb, inf
+from math import comb
 from typing import Iterable, Iterator
 
 from .factor import (
@@ -30,10 +30,10 @@ from .spectral import spectral_radii
 from .thresholds import (
     GUARANTEED_BY_EDGES,
     GUARANTEED_BY_SPECTRAL,
-    RHO_EQUALITY_TOL,
     Verdict,
     applicability,
     edge_threshold,
+    meets_spectral,
     recognize_extremal,
     spectral_threshold,
     verdict,
@@ -144,8 +144,9 @@ def lemma_merge_sweep(max_n: int, max_s: int, ps: Iterable[int]) -> SweepReport:
     """For every valid split family strictly below its merged form, assert the
     strict edge-count and spectral-radius inequalities against the merged
     family K_s v (K_{n-s-p(t-1)} u (t-1)K_p).  Every filler order p is at
-    least 1, and a sweep that yields no instance is a ValueError."""
-    ps = sorted(ps)
+    least 1, and a repeated one counts once; a sweep that yields no instance
+    is a ValueError."""
+    ps = sorted(set(ps))
     if any(p < 1 for p in ps):
         raise ValueError(f"lemma parts must be at least 1, got {ps}")
     report = SweepReport(
@@ -264,8 +265,6 @@ def soundness_sweep(
     for n in ns:
         e_thr = edge_threshold(n, delta)
         rho_thr = spectral_threshold(n, delta)
-        # the edge route accepts a draw whatever its rho
-        rho_floor = rho_thr - RHO_EQUALITY_TOL if which == "spectral" else -inf
         budget = comb(n, 2) - e_thr
         left = samples
         attempts = 0  # rejected draws of the sample now open
@@ -279,7 +278,8 @@ def soundness_sweep(
             radii = iter(spectral_radii([g for g in kept if g is not None]))
             for g in kept:
                 rho = None if g is None else next(radii).rho
-                if rho is None or rho < rho_floor:
+                # the edge route accepts a draw whatever its rho
+                if rho is None or (which == "spectral" and not meets_spectral(rho, rho_thr)):
                     attempts += 1
                     if attempts < RETRY_BUDGET:
                         continue
@@ -315,7 +315,7 @@ def soundness_sweep(
             e_thr=e_thr,
             rho_thr=rho_thr,
             meets_e=g.edge_count >= e_thr,
-            meets_rho=rho >= rho_thr - RHO_EQUALITY_TOL,
+            meets_rho=meets_spectral(rho, rho_thr),
             is_extremal=is_ext,
             oracle=status,
             cost_candidates=cost,
@@ -352,7 +352,10 @@ def tightness_report(n: int, delta: int) -> SweepReport:
 
     checks = {
         "edge_threshold_equality": g.edge_count == vd.edge_threshold,
-        "spectral_threshold_equality": abs(vd.rho_G - vd.spectral_threshold) <= RHO_EQUALITY_TOL,
+        "spectral_threshold_equality": (
+            meets_spectral(vd.rho_G, vd.spectral_threshold)
+            and meets_spectral(vd.spectral_threshold, vd.rho_G)
+        ),
         "condition_fails": not cond.holds,
         "condition_witness_is_core": cond.witness == core,
         "witness_odd_components_equal_delta": cond.witness_odd_components == delta,

@@ -114,49 +114,33 @@ def _power_iterate_stack(
 ) -> list[tuple[float, int, float]]:
     """`_power_iterate` on every block of a C-contiguous (B, k, k) stack at
     once, with the same floating-point operations per block: `stack @ v` is
-    each block's gemv and `v^T @ w` each block's dot.  The stack is
-    reordered in place."""
+    each block's gemv and `v^T @ w` each block's dot.  A converged block
+    rides along masked until the last block converges: it keeps iterating,
+    but only live blocks update their best pair."""
     import numpy as np
 
     b, k, _ = stack.shape
+    # the best pair so far; a converging residual is below every earlier
+    # one, so a converged block's best pair is its result
     rho = np.zeros(b)
-    iterations = np.zeros(b, dtype=np.int64)
-    residual = np.zeros(b)
-    live = np.arange(b)
-    best_rho = np.zeros(b)
-    best_res = np.full(b, np.inf)
+    residual = np.full(b, np.inf)
+    iterations = np.full(b, max_iter)
+    live = np.ones(b, dtype=bool)
     v = np.full((b, k, 1), 1.0 / np.sqrt(k))
     for it in range(1, max_iter + 1):
         w = stack @ v
         lam = v.transpose(0, 2, 1) @ w
         res = np.abs(w - lam * v).max(axis=(1, 2))
-        est = lam[:, 0, 0] - 1.0
-        # a converging residual is below every earlier one, so the best
-        # pair is the result of a converged block
-        better = res < best_res
-        best_rho = np.where(better, est, best_rho)
-        best_res = np.where(better, res, best_res)
-        done = res <= tol
+        better = live & (res < residual)
+        rho = np.where(better, lam[:, 0, 0] - 1.0, rho)
+        residual = np.where(better, res, residual)
+        done = live & (res <= tol)
         if done.any():
-            rho[live[done]] = est[done]
-            residual[live[done]] = res[done]
-            iterations[live[done]] = it
-            m = len(done) - int(np.count_nonzero(done))
-            if not m:
+            iterations[done] = it
+            live &= ~done
+            if not live.any():
                 break
-            # converged blocks leave the stack: the live blocks past the
-            # first m are copied into their places, and the stack shrinks to
-            # its first m blocks, still one C-contiguous array
-            holes = np.flatnonzero(done[:m])
-            movers = m + np.flatnonzero(~done[m:])
-            for a in (stack, w, live, best_rho, best_res):
-                a[holes] = a[movers]
-            stack, w, live = stack[:m], w[:m], live[:m]
-            best_rho, best_res = best_rho[:m], best_res[:m]
         v = w / np.sqrt(w.transpose(0, 2, 1) @ w)
-    else:
-        rho[live] = best_rho
-        residual[live] = best_res
     return list(zip(rho.tolist(), iterations.tolist(), residual.tolist()))
 
 
@@ -166,13 +150,13 @@ def spectral_radii(
     """`[spectral_radius(g, tol, max_iter) for g in graphs]`, bit for bit and
     error for error, with the connected blocks of all graphs iterated
     together.  The graphs are read once and not kept: each block's rows of
-    A + I are packed under its order as they arrive, and the blocks of one
-    order are then unpacked into (B, k, k) stacks of at most STACK_BYTES.
-    A stack of a single block runs the 2-D kernel, which is cheaper at
-    B = 1."""
-    packed: dict[int, bytearray] = {}
-    counts: dict[int, int] = {}
-    # per graph, (order, position in that order's stack) of each component
+    A + I are packed and appended to its order's list as they arrive, and
+    the blocks of one order are then unpacked into (B, k, k) stacks of at
+    most STACK_BYTES.  A stack of a single block runs the 2-D kernel, which
+    is cheaper at B = 1.  A single vertex has rho 0 and needs no iteration,
+    so it joins no stack."""
+    blocks: dict[int, list[bytes]] = {}
+    # per graph, (order, index in that order's list) of each block
     layouts: list[list[tuple[int, int]]] = []
     empty = False
     for g in graphs:
@@ -188,27 +172,23 @@ def spectral_radii(
         layout = []
         for comp in g.components():
             k = comp.bit_count()
-            pos = counts.get(k, 0)
             if k > 1:
-                counts[k] = pos + 1
-                packed.setdefault(k, bytearray()).extend(_pack_rows(_shifted_rows(g, comp), k))
-            layout.append((k, pos))
+                rows = blocks.setdefault(k, [])
+                layout.append((k, len(rows)))
+                rows.append(_pack_rows(_shifted_rows(g, comp), k))
         layouts.append(layout)
 
-    # a single vertex has rho 0 and needs no iteration
-    outcomes = {1: [(0.0, 0, 0.0)]}
-    for k, rows in packed.items():
-        width = (k + 7) // 8
+    outcomes: dict[int, list[tuple[float, int, float]]] = {}
+    for k, rows in blocks.items():
         per_stack = max(1, STACK_BYTES // (8 * k * k))
         found = outcomes[k] = []
-        for first in range(0, counts[k], per_stack):
-            b = min(per_stack, counts[k] - first)
-            chunk = rows[first * k * width : (first + b) * k * width]
-            stack = _unpack_rows(chunk, b * k, k)
-            if b == 1:
+        for first in range(0, len(rows), per_stack):
+            chunk = rows[first : first + per_stack]
+            stack = _unpack_rows(b"".join(chunk), len(chunk) * k, k)
+            if len(chunk) == 1:
                 found.append(_power_iterate(stack, tol, max_iter))
             else:
-                found += _power_iterate_stack(stack.reshape(b, k, k), tol, max_iter)
+                found += _power_iterate_stack(stack.reshape(-1, k, k), tol, max_iter)
 
     results = []
     for layout in layouts:

@@ -38,6 +38,12 @@ def spectral_threshold(n: int, delta: int) -> float:
     return largest_real_root(poly, float(n - delta))
 
 
+def meets_spectral(rho: float, rho_thr: float) -> bool:
+    """rho >= rho_thr up to RHO_EQUALITY_TOL: the one comparison of a
+    spectral radius against the spectral threshold."""
+    return rho >= rho_thr - RHO_EQUALITY_TOL
+
+
 def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
@@ -140,7 +146,7 @@ def verdict(g: Graph, which: str = "both", delta: int | None = None) -> Verdict:
     rho_thr: float | None = None
     rho_g: float | None = None
     meets_edge: bool | None = None
-    meets_spectral: bool | None = None
+    meets_rho: bool | None = None
     is_extremal = False
     reason = None
 
@@ -158,7 +164,7 @@ def verdict(g: Graph, which: str = "both", delta: int | None = None) -> Verdict:
                 meets_edge = e_g >= e_thr
             if want_spectral:
                 rho_g = spectral_radius(g).rho
-                meets_spectral = rho_g >= rho_thr - RHO_EQUALITY_TOL
+                meets_rho = meets_spectral(rho_g, rho_thr)
         is_extremal = recognize_extremal(g) == (n, delta_used)
 
     if not g.is_connected() and n > 0:
@@ -166,11 +172,11 @@ def verdict(g: Graph, which: str = "both", delta: int | None = None) -> Verdict:
         guarantee = NO_GUARANTEE
     elif want_edges and thm11 and meets_edge and not is_extremal:
         guarantee = GUARANTEED_BY_EDGES
-    elif want_spectral and thm12 and meets_spectral and not is_extremal:
+    elif want_spectral and thm12 and meets_rho and not is_extremal:
         guarantee = GUARANTEED_BY_SPECTRAL
     elif is_extremal and (
         (want_edges and thm11 and meets_edge)
-        or (want_spectral and thm12 and meets_spectral)
+        or (want_spectral and thm12 and meets_rho)
     ):
         guarantee = EXTREMAL_EXCEPTION
     else:
@@ -186,7 +192,7 @@ def verdict(g: Graph, which: str = "both", delta: int | None = None) -> Verdict:
         e_G=e_g,
         rho_G=rho_g,
         meets_edge=meets_edge,
-        meets_spectral=meets_spectral,
+        meets_spectral=meets_rho,
         is_extremal=is_extremal,
         guarantee=guarantee,
         reason=reason,

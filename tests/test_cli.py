@@ -115,6 +115,27 @@ def test_verdict_from_edgelist_file(capsys, tmp_path):
     assert json.loads(out)["n"] == 4
 
 
+@pytest.mark.parametrize("name", ["missing.g6", "."])
+def test_unreadable_file_exits_2(capsys, tmp_path, name):
+    # a missing file and a directory: one usage-error line, no traceback
+    path = tmp_path / name
+    code, out, err = run(capsys, ["check", "condition", "--file", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"usage-error: cannot read --file {path}: ")
+    assert err.count("\n") == 1
+
+
+def test_non_utf8_file_is_a_parse_error(capsys, tmp_path):
+    # bytes that are not UTF-8 reach the parser: a parse error, exit 3
+    p = tmp_path / "g.g6"
+    p.write_bytes(b"\xff\xfe\n")
+    code, out, err = run(capsys, ["check", "condition", "--file", str(p)])
+    assert code == 3
+    assert out == ""
+    assert err == "parse-error: non-ASCII byte (byte offset 0)\n"
+
+
 def test_parse_error_exits_3(capsys, monkeypatch):
     code, _, err = run(capsys, ["check", "condition"], stdin="!!!", monkeypatch=monkeypatch)
     assert code == 3

@@ -17,7 +17,6 @@ from evenfactor.graphs import (
     cycle,
     disjoint_union,
     extremal,
-    graph_stats,
     join,
     merged_family,
     odd_components_minus,
@@ -138,18 +137,6 @@ def test_extremal():
     assert g.min_degree() == 3
     with pytest.raises(ValueError):
         extremal(4, 3)
-
-
-def test_graph_stats():
-    st_ = graph_stats(extremal(8, 2))
-    assert (st_.n, st_.edge_count, st_.min_degree) == (8, 23, 2)
-    assert st_.is_connected and st_.component_sizes == (8,)
-    st_ = graph_stats(disjoint_union([complete(5), complete(1)]))
-    assert not st_.is_connected
-    assert st_.component_sizes == (5, 1)
-    st_ = graph_stats(Graph(0, ()))
-    assert st_.min_degree is None and st_.is_connected
-    assert st_.component_sizes == ()
 
 
 def test_odd_components_minus():

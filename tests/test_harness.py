@@ -54,6 +54,13 @@ class TestLemmaMergeSweep:
             with pytest.raises(ValueError, match="no lemma instance"):
                 lemma_merge_sweep(max_n, max_s, ps)
 
+    def test_repeated_parts_count_once(self):
+        once = lemma_merge_sweep(10, 2, [1])
+        twice = lemma_merge_sweep(10, 2, [1, 1])
+        assert once.findings["instances"] == twice.findings["instances"] == 81
+        assert rows_without_timing(twice) == rows_without_timing(once)
+        assert twice.params["ps"] == [1]
+
     def test_no_violations_small(self):
         rep = lemma_merge_sweep(12, 3, [1, 2])
         assert rep.passed

@@ -7,6 +7,7 @@ import pytest
 from evenfactor import spectral
 from evenfactor.graphs import (
     FamilySpec,
+    Graph,
     build_family,
     complete,
     cycle,
@@ -219,6 +220,28 @@ class TestSpectralRadii:
         expected = [bits(spectral_radius(g)) for g in graphs]
         monkeypatch.setattr(spectral, "STACK_BYTES", 3 * 8 * 10 * 10)
         assert list(map(bits, spectral_radii(graphs))) == expected
+
+    def test_converged_blocks_ride_along_masked(self, monkeypatch):
+        # one order-12 stack: K_12 converges at once, between and after
+        # blocks that need 124, 65 and 186 iterations; each block's result
+        # is still its solo one
+        tail = [(i, i + 1) for i in range(3, 11)]
+        lollipop = Graph.from_edges(12, [(i, j) for i in range(4) for j in range(i)] + tail)
+        tadpole = Graph.from_edges(12, [(0, 1), (1, 2), (2, 0), (2, 3)] + tail)
+        graphs = [path(12), complete(12), lollipop, tadpole, complete(12)]
+        solo = [spectral_radius(g) for g in graphs]
+        assert [r.iterations for r in solo] == [124, 1, 65, 186, 1]
+        shapes = []
+        kernel = spectral._power_iterate_stack
+
+        def spy(stack, tol, max_iter):
+            shapes.append(stack.shape)
+            return kernel(stack, tol, max_iter)
+
+        monkeypatch.setattr(spectral, "_power_iterate_stack", spy)
+        monkeypatch.setattr(spectral, "STACK_BYTES", len(graphs) * 8 * 12 * 12)
+        assert list(map(bits, spectral_radii(graphs))) == list(map(bits, solo))
+        assert shapes == [(5, 12, 12)]
 
     def test_single_vertices(self):
         graphs = [complete(1), disjoint_union([complete(1)] * 3), complete(1)]

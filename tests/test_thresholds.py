@@ -11,6 +11,7 @@ from evenfactor.thresholds import (
     NO_GUARANTEE,
     applicability,
     edge_threshold,
+    meets_spectral,
     recognize_extremal,
     spectral_threshold,
     verdict,
@@ -65,6 +66,20 @@ def test_route_floors_have_one_home():
 
     assert identities.edge_route_floor is thresholds.edge_route_floor
     assert identities.spectral_route_floor is thresholds.spectral_route_floor
+
+
+def test_spectral_comparison_has_one_home():
+    from evenfactor import harness, thresholds
+
+    assert not hasattr(harness, "RHO_EQUALITY_TOL")
+    assert harness.meets_spectral is thresholds.meets_spectral
+
+
+def test_meets_spectral_absorbs_only_the_tolerance():
+    thr = spectral_threshold(8, 2)
+    assert meets_spectral(thr, thr) and meets_spectral(thr + 1.0, thr)
+    assert meets_spectral(thr - 5e-9, thr)
+    assert not meets_spectral(thr - 2e-8, thr)
 
 
 def test_applicability_quadratic_floors_integer_exact():
