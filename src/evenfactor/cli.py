@@ -16,13 +16,7 @@ import os
 import sys
 from pathlib import Path
 
-from .factor import (
-    DEFAULT_MAX_CANDIDATES,
-    DEFAULT_MAX_DIM,
-    UNKNOWN,
-    check_yan_kano_condition,
-    has_even_factor,
-)
+from .factor import UNKNOWN, check_yan_kano_condition, has_even_factor
 from .graph6 import (
     Graph6Error,
     GraphParseError,
@@ -131,14 +125,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser("check", help="even-factor oracle and condition checks")
     check_sub = check.add_subparsers(dest="check_what", required=True)
-    check_ef = check_sub.add_parser("even-factor", parents=[graph_in])
-    check_ef.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM)
-    check_ef.add_argument("--max-candidates", type=int, default=DEFAULT_MAX_CANDIDATES)
+    check_sub.add_parser("even-factor", parents=[graph_in])
     check_sub.add_parser("condition", parents=[graph_in])
 
-    spec = sub.add_parser("spectral", parents=[graph_in], help="spectral radius with residual")
-    spec.add_argument("--tol", type=float, default=1e-10)
-    spec.add_argument("--max-iter", type=int, default=10**6)
+    sub.add_parser("spectral", parents=[graph_in], help="spectral radius with residual")
 
     thr = sub.add_parser("threshold", help="edge and spectral thresholds")
     thr.add_argument("--n", type=int, required=True)
@@ -190,7 +180,7 @@ def _cmd_gen(args) -> int:
 def _cmd_check(args) -> int:
     g = _read_graph(args)
     if args.check_what == "even-factor":
-        res = has_even_factor(g, max_dim=args.max_dim, max_candidates=args.max_candidates)
+        res = has_even_factor(g)
         print(res.status)
         print(f"cost {res.search_cost}")
         for u, v in res.certificate or ():
@@ -206,7 +196,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_spectral(args) -> int:
-    res = spectral_radius(_read_graph(args), tol=args.tol, max_iter=args.max_iter)
+    res = spectral_radius(_read_graph(args))
     print(f"rho {res.rho:.12f}")
     print(f"iterations {res.iterations}")
     print(f"residual {res.residual:.3e}")

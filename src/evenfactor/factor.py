@@ -21,7 +21,7 @@ with b.
 The coset is searched in phases: a full scan when it has at most
 _FULL_ENUM_CAP elements, otherwise a seeded pre-pass of probes and then meet
 in the middle.  Every phase charges one per element examined against
-`max_candidates` (in meet in the middle, one per half-B element and one per
+MAX_CANDIDATES (in meet in the middle, one per half-B element and one per
 pair), in that order, and the first full cover ends the search.
 """
 
@@ -39,8 +39,9 @@ NOT_EXISTS = "not_exists"
 UNKNOWN = "unknown"
 
 NAIVE_EDGE_CAP = 24
-DEFAULT_MAX_DIM = 40
-DEFAULT_MAX_CANDIDATES = 2**30
+# the oracle's caps, read once per call (see has_even_factor)
+MAX_DIM = 40
+MAX_CANDIDATES = 2**30
 
 # below this dimension the whole space is cheaper to scan than to split
 _FULL_ENUM_CAP = 4096
@@ -113,22 +114,14 @@ def _edge_mask_to_cert(mask: int, edges: list[Edge]) -> tuple[Edge, ...]:
     return tuple(edges[i] for i in mask_vertices(mask))
 
 
-def has_even_factor(
-    g: Graph,
-    max_dim: int = DEFAULT_MAX_DIM,
-    max_candidates: int = DEFAULT_MAX_CANDIDATES,
-) -> EvenFactorResult:
+def has_even_factor(g: Graph) -> EvenFactorResult:
     """Decide even-factor existence by searching the forced-edge coset.
 
-    Exact within the caps: `max_dim` bounds the coset dimension the exhaustive
-    phases (full scan, meet in the middle) take on, `max_candidates` the
+    Exact within the caps: MAX_DIM bounds the coset dimension the exhaustive
+    phases (full scan, meet in the middle) take on, MAX_CANDIDATES the
     charge of the module docstring; past either the status is "unknown".
-    Both caps must be at least 0.
     """
-    if max_dim < 0 or max_candidates < 0:
-        raise ValueError(
-            f"oracle caps must be at least 0, got max_dim={max_dim}, max_candidates={max_candidates}"
-        )
+    max_dim, max_candidates = MAX_DIM, MAX_CANDIDATES
     n = g.n
     if n == 0:
         return EvenFactorResult(EXISTS, (), 0)

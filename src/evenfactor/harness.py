@@ -14,9 +14,8 @@ from dataclasses import dataclass, field
 from math import comb
 from typing import Iterable, Iterator
 
+from . import factor
 from .factor import (
-    DEFAULT_MAX_CANDIDATES,
-    DEFAULT_MAX_DIM,
     EXISTS,
     UNKNOWN,
     EvenFactorResult,
@@ -255,8 +254,8 @@ def soundness_sweep(
             "delta": delta,
             "samples": samples,
             "which": which,
-            "max_dim": DEFAULT_MAX_DIM,
-            "max_candidates": DEFAULT_MAX_CANDIDATES,
+            "max_dim": factor.MAX_DIM,
+            "max_candidates": factor.MAX_CANDIDATES,
         },
     )
     rng = SplitMix64(seed)

@@ -28,6 +28,9 @@ if TYPE_CHECKING:
     import numpy as np
 
 ROOT_TOL = 1e-12
+# power iteration stops at residual POWER_TOL, and fails past POWER_MAX_ITER
+POWER_TOL = 1e-10
+POWER_MAX_ITER = 10**6
 
 # the most bytes of float64 matrices one stack of blocks holds, so that the
 # matrices in memory at once stay bounded however many graphs a campaign
@@ -144,17 +147,15 @@ def _power_iterate_stack(
     return list(zip(rho.tolist(), iterations.tolist(), residual.tolist()))
 
 
-def spectral_radii(
-    graphs: Iterable[Graph], tol: float = 1e-10, max_iter: int = 10**6
-) -> list[SpectralResult]:
-    """`[spectral_radius(g, tol, max_iter) for g in graphs]`, bit for bit and
-    error for error, with the connected blocks of all graphs iterated
-    together.  The graphs are read once and not kept: each block's rows of
-    A + I are packed and appended to its order's list as they arrive, and
-    the blocks of one order are then unpacked into (B, k, k) stacks of at
-    most STACK_BYTES.  A stack of a single block runs the 2-D kernel, which
-    is cheaper at B = 1.  A single vertex has rho 0 and needs no iteration,
-    so it joins no stack."""
+def spectral_radii(graphs: Iterable[Graph]) -> list[SpectralResult]:
+    """`[spectral_radius(g) for g in graphs]`, bit for bit and error for
+    error, with the connected blocks of all graphs iterated together.  The
+    graphs are read once and not kept: each block's rows of A + I are packed
+    and appended to its order's list as they arrive, and the blocks of one
+    order are then unpacked into (B, k, k) stacks of at most STACK_BYTES.  A
+    stack of a single block runs the 2-D kernel, which is cheaper at B = 1.
+    A single vertex has rho 0 and needs no iteration, so it joins no stack."""
+    tol, max_iter = POWER_TOL, POWER_MAX_ITER
     blocks: dict[int, list[bytes]] = {}
     # per graph, (order, index in that order's list) of each block
     layouts: list[list[tuple[int, int]]] = []
@@ -164,11 +165,6 @@ def spectral_radii(
             # a loop would stop here, after the graphs before this one
             empty = True
             break
-        if not layouts:
-            if not tol >= 0:
-                raise ValueError(f"tolerance must be at least 0, got {tol}")
-            if not max_iter >= 1:
-                raise ValueError(f"max_iter must be at least 1, got {max_iter}")
         layout = []
         for comp in g.components():
             k = comp.bit_count()
@@ -210,11 +206,10 @@ def spectral_radii(
     return results
 
 
-def spectral_radius(g: Graph, tol: float = 1e-10, max_iter: int = 10**6) -> SpectralResult:
+def spectral_radius(g: Graph) -> SpectralResult:
     """Largest adjacency eigenvalue; the maximum over components when
-    disconnected.  Deterministic: the start vector is all-ones.  Needs
-    tol >= 0 (NaN is rejected) and max_iter >= 1."""
-    return spectral_radii([g], tol, max_iter)[0]
+    disconnected.  Deterministic: the start vector is all-ones."""
+    return spectral_radii([g])[0]
 
 
 # --- quotient matrices of the split-family equitable partitions ---------------

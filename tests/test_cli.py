@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import evenfactor
-from evenfactor import cli
+from evenfactor import cli, factor, spectral
 from evenfactor.cli import main
 from evenfactor.graph6 import write_graph6
 from evenfactor.graphs import cycle, extremal
@@ -73,10 +73,10 @@ def test_pipeline_check_even_factor(capsys, monkeypatch):
     assert all(len(line.split()) == 2 for line in lines[2:])
 
 
-def test_check_even_factor_unknown_exits_4(capsys):
+def test_check_even_factor_unknown_exits_4(capsys, monkeypatch):
     # no even factor, forced-edge coset of dimension 6
-    g6 = "KYMGg?@?WB_N"
-    code, out, _ = run(capsys, ["check", "even-factor", "--graph6", g6, "--max-dim", "5"])
+    monkeypatch.setattr(factor, "MAX_DIM", 5)
+    code, out, _ = run(capsys, ["check", "even-factor", "--graph6", "KYMGg?@?WB_N"])
     assert code == 4
     assert out.splitlines()[0] == "unknown"
 
@@ -170,15 +170,6 @@ def test_graph6_and_file_exclude_each_other(capsys, tmp_path, command):
     assert "argument --file: not allowed with argument --graph6" in captured.err
 
 
-@pytest.mark.parametrize("flag", ["--max-dim", "--max-candidates"])
-def test_negative_oracle_cap_exits_2(capsys, flag):
-    g6 = write_graph6(extremal(8, 2))
-    code, out, err = run(capsys, ["check", "even-factor", "--graph6", g6, flag, "-1"])
-    assert code == 2
-    assert out == ""
-    assert err.startswith("usage-error: oracle caps must be at least 0")
-
-
 def test_usage_error_exits_2(capsys):
     code, _, err = run(capsys, ["threshold", "--n", "5", "--delta", "3", "--edges"])
     assert code == 2
@@ -190,20 +181,31 @@ def test_usage_error_exits_2(capsys):
     assert "usage-error: condition check capped at 24 vertices, got 25" in err
 
 
+@pytest.mark.parametrize("command", [["spectral"], ["verdict"]])
+def test_nonconvergence_is_a_numeric_error(capsys, monkeypatch, command):
+    monkeypatch.setattr(spectral, "POWER_TOL", 1e-15)
+    monkeypatch.setattr(spectral, "POWER_MAX_ITER", 3)
+    code, out, err = run(capsys, [*command, "--graph6", write_graph6(extremal(12, 3))])
+    assert code == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("numeric-error: no convergence within 3 iterations")
+
+
 @pytest.mark.parametrize(
-    "flags, message",
+    "command, flags",
     [
-        (["--tol", "-1"], "usage-error: tolerance must be at least 0"),
-        (["--tol", "nan"], "usage-error: tolerance must be at least 0"),
-        (["--max-iter", "0"], "usage-error: max_iter must be at least 1"),
+        (["check", "even-factor"], ["--max-dim", "--max-candidates"]),
+        (["spectral"], ["--tol", "--max-iter"]),
     ],
 )
-def test_spectral_iteration_arguments_exit_2(capsys, flags, message):
-    # rejected before any iteration runs, not after 10^6 of them
-    code, out, err = run(capsys, ["spectral", "--graph6", "KYMGg?@?WB_N", *flags])
-    assert code == 2
-    assert out == ""
-    assert err.startswith(message)
+def test_numeric_settings_are_not_flags(capsys, command, flags):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--help"])
+    assert exc.value.code == 0
+    usage = capsys.readouterr().out
+    assert not [flag for flag in flags if flag in usage]
 
 
 def test_threshold_error_leaves_stdout_empty(capsys):
@@ -298,6 +300,19 @@ def test_sweep_soundness(capsys, tmp_path):
     lines = out_path.read_text().splitlines()
     assert lines[0].startswith("campaign,")
     assert len(lines) == 26
+
+
+def test_sweep_unknown_rows_exit_4(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(factor, "MAX_CANDIDATES", 0)
+    code, out, _ = run(
+        capsys,
+        [
+            "sweep", "soundness", "--n", "8", "--delta", "2",
+            "--samples", "10", "--seed", "1", "--out", str(tmp_path / "capped.csv"),
+        ],
+    )
+    assert code == 4
+    assert out == "rows=10 counterexamples=0 unknowns=10 sampler_failures=0\n"
 
 
 def test_sweep_jobs_zero_exits_2(capsys, tmp_path):

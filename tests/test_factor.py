@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from evenfactor import factor
 from evenfactor.factor import (
     EXISTS,
     NOT_EXISTS,
@@ -139,12 +140,13 @@ class TestOracle:
         )
         assert has_even_factor(g).status == NOT_EXISTS
 
-    def test_dim_cap_reports_unknown(self):
+    def test_dim_cap_reports_unknown(self, monkeypatch):
         # no factor (H7's vertex 4 is cut off by forced edges); the coset has
         # dimension 6, so the exhaustive phases are past the cap
         g = disjoint_union([H7, complete(5)])
-        assert has_even_factor(g, max_dim=5).status == UNKNOWN
         assert has_even_factor(g).status == NOT_EXISTS
+        monkeypatch.setattr(factor, "MAX_DIM", 5)
+        assert has_even_factor(g).status == UNKNOWN
 
     def test_k23_has_no_even_factor(self):
         # every vertex sits on a cycle, min degree 2, yet no even spanning
@@ -153,16 +155,11 @@ class TestOracle:
         assert has_even_factor(k23).status == NOT_EXISTS
         assert has_even_factor_naive(k23).status == NOT_EXISTS
 
-    def test_candidate_cap_reports_unknown(self):
-        g = disjoint_union([H7, complete(5)])
-        res = has_even_factor(g, max_candidates=2)
+    def test_candidate_cap_reports_unknown(self, monkeypatch):
+        monkeypatch.setattr(factor, "MAX_CANDIDATES", 2)
+        res = has_even_factor(disjoint_union([H7, complete(5)]))
         assert res.status == UNKNOWN
         assert res.search_cost == 3
-
-    @pytest.mark.parametrize("caps", [{"max_dim": -1}, {"max_candidates": -1}])
-    def test_negative_caps_rejected(self, caps):
-        with pytest.raises(ValueError, match="oracle caps must be at least 0"):
-            has_even_factor(cycle(4), **caps)
 
 
 class TestNaiveOracle:
@@ -245,7 +242,7 @@ class TestMeetInTheMiddle:
             ([H7, complete(8)], NOT_EXISTS, 3606),
         ],
     )
-    def test_pinned_result_and_cost(self, parts, status, cost):
+    def test_pinned_result_and_cost(self, monkeypatch, parts, status, cost):
         g = disjoint_union(parts)
         res = has_even_factor(g)
         assert (res.status, res.search_cost) == (status, cost)
@@ -253,7 +250,8 @@ class TestMeetInTheMiddle:
             assert verify_even_factor(g, res.certificate)
         else:
             assert res.certificate is None
-        capped = has_even_factor(g, max_candidates=cost - 1)
+        monkeypatch.setattr(factor, "MAX_CANDIDATES", cost - 1)
+        capped = has_even_factor(g)
         assert (capped.status, capped.search_cost) == (UNKNOWN, cost)
 
 
