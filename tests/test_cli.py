@@ -98,6 +98,13 @@ def test_spectral(capsys, monkeypatch):
     assert lines[2].startswith("residual ")
 
 
+def test_spectral_of_zero_vertex_graph_exits_2(capsys):
+    code, out, err = run(capsys, ["spectral", "--graph6", "?"])
+    assert code == 2
+    assert out == ""
+    assert err == "usage-error: spectral radius needs at least one vertex\n"
+
+
 def test_verdict_extremal(capsys):
     g6 = write_graph6(extremal(8, 2))
     code, out, _ = run(capsys, ["verdict", "--graph6", g6])

@@ -117,6 +117,21 @@ class TestOracle:
         g = disjoint_union([cycle(3), complete(1)])
         assert has_even_factor(g).status == NOT_EXISTS
 
+    @pytest.mark.parametrize(
+        "g",
+        [
+            disjoint_union([cycle(3), complete(1)]),
+            Graph.from_edges(4, [(0, 1), (1, 2), (0, 2), (2, 3)]),
+            Graph.from_edges(6, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5)]),
+        ],
+        ids=["isolated-vertex", "pendant-vertex", "tree"],
+    )
+    def test_degree_at_most_one_is_decided_at_no_cost(self, g):
+        # a vertex of degree <= 1 lies on no cycle, so the oracle stops
+        # before any search
+        res = has_even_factor(g)
+        assert (res.status, res.certificate, res.search_cost) == (NOT_EXISTS, None, 0)
+
     def test_disconnected_both_components_covered(self):
         g = disjoint_union([cycle(3), cycle(4)])
         res = has_even_factor(g)

@@ -1,8 +1,11 @@
+import hashlib
 import json
+import math
 
 import pytest
 
 from evenfactor.graphs import build_family, complete, cycle, disjoint_union, extremal, FamilySpec
+from evenfactor.rng import SplitMix64
 from evenfactor.spectral import spectral_radius
 from evenfactor.thresholds import (
     EXTREMAL_EXCEPTION,
@@ -38,6 +41,36 @@ def test_spectral_threshold_values():
     t = spectral_threshold(20, 2)
     assert 18 < t < 19
     assert abs(t - spectral_radius(extremal(20, 2)).rho) <= 1e-8
+
+
+def test_spectral_threshold_output_is_pinned():
+    # every bit of the threshold over the quotient's whole domain up to
+    # n = 120; any change to the root finder's floating-point operations on
+    # a path these cubics take moves this hash
+    lines = "".join(
+        f"{n} {d} {spectral_threshold(n, d).hex()}\n"
+        for n in range(3, 121)
+        for d in range(2, n)
+        if n - 2 * d + 1 >= 1
+    )
+    assert lines.count("\n") == 3481
+    assert hashlib.sha256(lines.encode()).hexdigest() == (
+        "b98b2560e4a087b44721971f4fb42762dbf086df38ef8e58c84c40cc7d78b94c"
+    )
+
+
+def test_spectral_threshold_returns_up_to_huge_n():
+    # the root stays simple and is bracketed from above however large n is;
+    # past about n = 1e7 the gap to n - delta falls below one ulp at small delta
+    rng = SplitMix64(14)
+    for _ in range(100):
+        n = 4 + rng.randrange(10**12 - 3)
+        for d in (2, 3, n // 2, 2 + rng.randrange(n // 2 - 1)):
+            if n - 2 * d + 1 >= 1:
+                root = spectral_threshold(n, d)
+                assert math.isfinite(root) and root >= n - d
+    for n, d in ((10**12, 2), (10**12, 3), (10**12, 5 * 10**11)):
+        assert spectral_threshold(n, d) >= n - d
 
 
 def test_spectral_threshold_exceeds_clique_radius():
