@@ -125,8 +125,6 @@ def has_even_factor(g: Graph) -> EvenFactorResult:
     n = g.n
     if n == 0:
         return EvenFactorResult(EXISTS, (), 0)
-    if any(m.bit_count() <= 1 for m in g.adj):
-        return EvenFactorResult(NOT_EXISTS, None, 0)
     edges, basis = _spanning_forest_chords(g)
     incident = [0] * n
     for i, (u, v) in enumerate(edges):

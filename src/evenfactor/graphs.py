@@ -231,10 +231,6 @@ class FamilySpec:
     def n(self) -> int:
         return self.s + sum(self.parts)
 
-    @property
-    def t(self) -> int:
-        return len(self.parts)
-
 
 def merged_family(n: int, s: int, t: int, p: int) -> FamilySpec:
     """The family K_s v (K_{n-s-p(t-1)} u (t-1)K_p): one big clique plus

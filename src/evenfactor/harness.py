@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from math import comb
 from typing import Iterable, Iterator
 
-from . import factor
 from .factor import (
     EXISTS,
     UNKNOWN,
@@ -254,8 +253,6 @@ def soundness_sweep(
             "delta": delta,
             "samples": samples,
             "which": which,
-            "max_dim": factor.MAX_DIM,
-            "max_candidates": factor.MAX_CANDIDATES,
         },
     )
     rng = SplitMix64(seed)

@@ -148,23 +148,23 @@ def _power_iterate_stack(
 
 
 def spectral_radii(graphs: Iterable[Graph]) -> list[SpectralResult]:
-    """`[spectral_radius(g) for g in graphs]`, bit for bit and error for
-    error, with the connected blocks of all graphs iterated together.  The
-    graphs are read once and not kept: each block's rows of A + I are packed
-    and appended to its order's list as they arrive, and the blocks of one
-    order are then unpacked into (B, k, k) stacks of at most STACK_BYTES.  A
-    stack of a single block runs the 2-D kernel, which is cheaper at B = 1.
-    A single vertex has rho 0 and needs no iteration, so it joins no stack."""
+    """`[spectral_radius(g) for g in graphs]`, bit for bit, with the
+    connected blocks of all graphs iterated together.  A 0-vertex graph
+    anywhere in the input is a ValueError, raised as it is read, before any
+    iteration; a block that does not converge raises the PowerIterationError
+    of the first failing block of the first failing graph.  The graphs are
+    read once and not kept: each block's rows of A + I are packed and
+    appended to its order's list as they arrive, and the blocks of one order
+    are then unpacked into (B, k, k) stacks of at most STACK_BYTES.  A stack
+    of a single block runs the 2-D kernel, which is cheaper at B = 1.  A
+    single vertex has rho 0 and needs no iteration, so it joins no stack."""
     tol, max_iter = POWER_TOL, POWER_MAX_ITER
     blocks: dict[int, list[bytes]] = {}
     # per graph, (order, index in that order's list) of each block
     layouts: list[list[tuple[int, int]]] = []
-    empty = False
     for g in graphs:
         if g.n < 1:
-            # a loop would stop here, after the graphs before this one
-            empty = True
-            break
+            raise ValueError("spectral radius needs at least one vertex")
         layout = []
         for comp in g.components():
             k = comp.bit_count()
@@ -201,8 +201,6 @@ def spectral_radii(graphs: Iterable[Graph]) -> list[SpectralResult]:
             residual = max(residual, res)
             rho = max(rho, r)
         results.append(SpectralResult(rho=rho, iterations=iterations, residual=residual))
-    if empty:
-        raise ValueError("spectral radius needs at least one vertex")
     return results
 
 
@@ -221,15 +219,6 @@ class QuotientMatrix3:
     cliques); entries are the constant block row sums of the adjacency."""
 
     rows: tuple[tuple[int, int, int], ...]
-    block_sizes: tuple[int, int, int]
-
-    def __post_init__(self) -> None:
-        if len(self.rows) != 3 or any(len(r) != 3 for r in self.rows):
-            raise ValueError("quotient matrix must be 3x3")
-        if any(e < 0 for r in self.rows for e in r):
-            raise ValueError("quotient entries must be non-negative")
-        if any(b < 1 for b in self.block_sizes):
-            raise ValueError("all partition blocks must be non-empty")
 
 
 def quotient_merged_core(n: int, s: int) -> QuotientMatrix3:
@@ -243,7 +232,6 @@ def quotient_merged_core(n: int, s: int) -> QuotientMatrix3:
             (s, n - 2 * s, 0),
             (s, 0, 0),
         ),
-        block_sizes=(s, n - 2 * s + 1, s - 1),
     )
 
 
@@ -259,7 +247,6 @@ def quotient_small_cliques(n: int, s: int, delta: int) -> QuotientMatrix3:
             (s, big - 1, 0),
             (s, 0, q - 1),
         ),
-        block_sizes=(s, big, (s - 1) * q),
     )
 
 
@@ -299,7 +286,9 @@ def largest_real_root(p: CubicPoly, lower_bound: float) -> float:
 
     Newton from a point above every root (where p, p', p'' are all positive)
     descends monotonically onto the largest root; a short bisection polish
-    pins it down.  Fails if the root found lies below `lower_bound`.
+    pins it down.  The largest root must be simple, as it is for every
+    irreducible quotient matrix; fails if p does not change sign just below
+    the Newton estimate, or if the root found lies below `lower_bound`.
     """
     start = 1.0 + max(abs(p.c2), abs(p.c1), abs(p.c0))
     x = max(float(lower_bound), start) + 1.0
@@ -316,22 +305,7 @@ def largest_real_root(p: CubicPoly, lower_bound: float) -> float:
     # p(x) >= 0 up to roundoff
     hi = x + max(ROOT_TOL, 64 * abs(x) * 2.2e-16)
     lo = x - max(ROOT_TOL, 64 * abs(x) * 2.2e-16)
-    widen = max(ROOT_TOL, abs(x) * 1e-9)
-    tries = 0
-    while p(lo) > 0 and tries < 40:
-        lo -= widen
-        widen = min(2 * widen, 1e-3 * max(1.0, abs(x)))
-        tries += 1
     if p(lo) > 0:
-        # p never dips below zero nearby: a (near-)double largest root; the
-        # Newton estimate is the best available
-        if abs(p(x)) <= 1e-6 * max(1.0, abs(x)) ** 3:
-            root = x
-            if root < lower_bound - 1e-9:
-                raise RootFindingError(
-                    f"largest real root {root} lies below the required bound {lower_bound}"
-                )
-            return root
         raise RootFindingError("could not bracket a real root from above")
     for _ in range(200):
         if hi - lo <= ROOT_TOL / 2:

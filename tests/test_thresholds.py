@@ -61,7 +61,8 @@ def test_spectral_threshold_output_is_pinned():
 
 def test_spectral_threshold_returns_up_to_huge_n():
     # the root stays simple and is bracketed from above however large n is;
-    # past about n = 1e7 the gap to n - delta falls below one ulp at small delta
+    # at large n and small delta its gap to n - delta is below one ulp, so
+    # the bound holds only as >=
     rng = SplitMix64(14)
     for _ in range(100):
         n = 4 + rng.randrange(10**12 - 3)
