@@ -174,6 +174,28 @@ class TestRecognizer:
     def test_boundary_n_equals_2delta_excluded(self):
         assert recognize_extremal(extremal(6, 3)) is None
 
+    def test_agrees_with_isomorphism_on_the_graph_atlas(self):
+        # every graph with at most 7 vertices, up to isomorphism
+        import networkx as nx
+
+        from evenfactor.graphs import Graph
+
+        hits = set()
+        for h in nx.graph_atlas_g():
+            n = h.number_of_nodes()
+            g = Graph.from_edges(n, h.edges())
+            delta = g.min_degree()
+            truth = (
+                delta is not None
+                and delta >= 2
+                and n > 2 * delta
+                and _isomorphic(g, extremal(n, delta))
+            )
+            assert recognize_extremal(g) == ((n, delta) if truth else None)
+            if truth:
+                hits.add((n, delta))
+        assert hits == {(5, 2), (6, 2), (7, 2), (7, 3)}
+
 
 def _isomorphic(g, h):
     import networkx as nx
