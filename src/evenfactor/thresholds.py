@@ -71,38 +71,18 @@ def applicability(n: int, delta: int, theorem: str) -> bool:
 
 
 def recognize_extremal(g: Graph) -> tuple[int, int] | None:
-    """(n, delta) iff g is isomorphic to the extremal graph.
+    """(n, delta) iff g is isomorphic to K_delta v (K_{n-2*delta+1} u (delta-1)K_1).
 
-    Structural fingerprint: delta dominating vertices, delta-1 independent
-    vertices of degree delta attached exactly to them, and an
-    (n-2*delta+1)-clique carrying the rest.  The three degree values
-    n-1 > n-delta > delta are pairwise distinct once n > 2*delta, so the
-    classes cannot be confused.
+    That extremal graph is a threshold graph, and a threshold graph is the
+    only graph with its degree sequence (Chvatal-Hammer, 1977), so sorted
+    degrees decide exactly: delta-1 vertices of degree delta, n-2*delta+1 of
+    degree n-delta and delta of degree n-1.
     """
-    n = g.n
-    if n == 0:
-        return None
-    delta = g.min_degree()
+    n, delta = g.n, g.min_degree()
     if delta is None or delta < 2 or n <= 2 * delta:
         return None
-    core = [v for v in range(n) if g.degree(v) == n - 1]
-    small = [v for v in range(n) if g.degree(v) == delta]
-    big = [v for v in range(n) if g.degree(v) == n - delta]
-    if len(core) != delta or len(small) != delta - 1 or len(big) != n - 2 * delta + 1:
-        return None
-    core_mask = 0
-    for v in core:
-        core_mask |= 1 << v
-    for v in small:
-        if g.adj[v] != core_mask:
-            return None
-    big_mask = 0
-    for v in big:
-        big_mask |= 1 << v
-    for v in big:
-        if g.adj[v] & big_mask != big_mask ^ (1 << v):
-            return None
-    return (n, delta)
+    want = [delta] * (delta - 1) + [n - delta] * (n - 2 * delta + 1) + [n - 1] * delta
+    return (n, delta) if sorted(g.degrees()) == want else None
 
 
 @dataclass(frozen=True)
@@ -134,21 +114,12 @@ def verdict(g: Graph, which: str = "both", delta: int | None = None) -> Verdict:
     """
     if which not in ("edges", "spectral", "both"):
         raise ValueError(f"which must be edges|spectral|both, got {which!r}")
-    want_edges = which in ("edges", "both")
-    want_spectral = which in ("spectral", "both")
-
     n = g.n
     e_g = g.edge_count
     delta_used = g.min_degree() if delta is None else delta
 
-    thm11 = thm12 = False
-    e_thr: int | None = None
-    rho_thr: float | None = None
-    rho_g: float | None = None
-    meets_edge: bool | None = None
-    meets_rho: bool | None = None
-    is_extremal = False
-    reason = None
+    thm11 = thm12 = is_extremal = False
+    e_thr = rho_thr = rho_g = meets_edge = meets_rho = reason = None
 
     if delta_used is None:
         reason = "empty graph"
@@ -160,25 +131,25 @@ def verdict(g: Graph, which: str = "both", delta: int | None = None) -> Verdict:
         if n >= 2 * delta_used:
             e_thr = edge_threshold(n, delta_used)
             rho_thr = spectral_threshold(n, delta_used)
-            if want_edges:
+            if which != "spectral":
                 meets_edge = e_g >= e_thr
-            if want_spectral:
+            if which != "edges":
                 rho_g = spectral_radius(g).rho
                 meets_rho = meets_spectral(rho_g, rho_thr)
         is_extremal = recognize_extremal(g) == (n, delta_used)
 
-    if not g.is_connected() and n > 0:
+    # a route not requested leaves its meets_* at None, so it cannot fire
+    by_edges = thm11 and meets_edge
+    by_rho = thm12 and meets_rho
+    if not g.is_connected():
         reason = "graph is disconnected"
         guarantee = NO_GUARANTEE
-    elif want_edges and thm11 and meets_edge and not is_extremal:
-        guarantee = GUARANTEED_BY_EDGES
-    elif want_spectral and thm12 and meets_rho and not is_extremal:
-        guarantee = GUARANTEED_BY_SPECTRAL
-    elif is_extremal and (
-        (want_edges and thm11 and meets_edge)
-        or (want_spectral and thm12 and meets_rho)
-    ):
+    elif is_extremal and (by_edges or by_rho):
         guarantee = EXTREMAL_EXCEPTION
+    elif by_edges:
+        guarantee = GUARANTEED_BY_EDGES
+    elif by_rho:
+        guarantee = GUARANTEED_BY_SPECTRAL
     else:
         guarantee = NO_GUARANTEE
 
