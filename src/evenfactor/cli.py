@@ -70,7 +70,13 @@ def _read_graph(args: argparse.Namespace) -> Graph:
         except OSError as exc:
             raise ValueError(f"cannot read --file {args.file}: {exc.strerror}") from None
         return _parse_graph_text(text)
-    return _parse_graph_text(sys.stdin.read())
+    # a strict-decoding stdin fails on the read itself; report that byte as
+    # the parser reports it in --file
+    try:
+        text = sys.stdin.read()
+    except UnicodeDecodeError as exc:
+        raise Graph6Error("non-ASCII byte", exc.start) from None
+    return _parse_graph_text(text)
 
 
 def _print_graph(g: Graph, fmt: str) -> None:

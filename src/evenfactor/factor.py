@@ -286,13 +286,16 @@ def has_even_factor_naive(g: Graph) -> EvenFactorResult:
 
 
 def verify_even_factor(g: Graph, certificate: tuple[Edge, ...]) -> bool:
-    """Spanning, all degrees even and >= 2, every edge an edge of g."""
-    deg = [0] * g.n
+    """Spanning, all degrees even and >= 2, every edge an edge of g, listed
+    once in either orientation, between labels in [0, n)."""
+    n = g.n
+    deg = [0] * n
     seen = set()
     for u, v in certificate:
-        if not g.has_edge(u, v) or (u, v) in seen:
+        key = (min(u, v), max(u, v))
+        if not (0 <= u < n and 0 <= v < n) or not g.has_edge(u, v) or key in seen:
             return False
-        seen.add((u, v))
+        seen.add(key)
         deg[u] += 1
         deg[v] += 1
     return all(x >= 2 and x % 2 == 0 for x in deg)

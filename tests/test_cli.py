@@ -143,6 +143,32 @@ def test_non_utf8_file_is_a_parse_error(capsys, tmp_path):
     assert err == "parse-error: non-ASCII byte (byte offset 0)\n"
 
 
+def test_non_utf8_stdin_is_a_parse_error(capsys, monkeypatch):
+    # a stdin that decodes strictly, as under a UTF-8 locale, fails on the
+    # read; the byte is still a parse error, as it is through --file
+    strict = io.TextIOWrapper(io.BytesIO(b"\xff\n"), encoding="utf-8", errors="strict")
+    monkeypatch.setattr("sys.stdin", strict)
+    code = main(["check", "condition"])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    assert err == "parse-error: non-ASCII byte (byte offset 0)\n"
+
+
+def test_blank_stdin_is_a_parse_error(capsys, monkeypatch):
+    code, out, err = run(capsys, ["check", "condition"], stdin="\n \n", monkeypatch=monkeypatch)
+    assert code == 3
+    assert out == ""
+    assert err == "parse-error: no graph on input (byte offset 0)\n"
+
+
+def test_lone_integer_on_stdin_is_an_edgeless_graph(capsys, monkeypatch):
+    # "5" is not graph6 for any graph, but it is an edge-list header
+    code, out, _ = run(capsys, ["check", "condition"], stdin="5\n", monkeypatch=monkeypatch)
+    assert code == 0
+    assert out == "violated S=0,1 odd_components=3\n"
+
+
 def test_parse_error_exits_3(capsys, monkeypatch):
     code, _, err = run(capsys, ["check", "condition"], stdin="!!!", monkeypatch=monkeypatch)
     assert code == 3

@@ -110,6 +110,16 @@ class TestOracle:
         candidate = ((0, 1), (0, 7), (1, 7), (2, 3), (3, 4), (4, 5), (5, 6), (2, 6))
         assert verify_even_factor(g, candidate)
 
+    @pytest.mark.parametrize(
+        "certificate",
+        [((0, 1), (1, 0)), ((0, 1), (-1, 0)), ((0, 1), (5, 0))],
+        ids=["reversed-duplicate", "negative-label", "label-past-n"],
+    )
+    def test_false_certificate_rejected(self, certificate):
+        # path(2) has no even factor, so no certificate for it may pass
+        assert has_even_factor(path(2)).status == NOT_EXISTS
+        assert verify_even_factor(path(2), certificate) is False
+
     def test_empty_graph_trivially_exists(self):
         assert has_even_factor(Graph(0, ())).status == EXISTS
 

@@ -102,6 +102,10 @@ class TestSoundnessSweep:
         for row in rep.rows:
             assert row["meets_rho"] is True
 
+    def test_unknown_route_rejected(self):
+        with pytest.raises(ValueError, match=r"which must be edges\|spectral, got .bogus."):
+            soundness_sweep(ns=[8], delta=2, samples=5, seed=1, which="bogus")
+
     def test_deterministic_given_seed(self):
         a = soundness_sweep(ns=[8], delta=2, samples=40, seed=5, which="edges")
         b = soundness_sweep(ns=[8], delta=2, samples=40, seed=5, which="edges")

@@ -242,6 +242,17 @@ class TestVerdict:
         assert vd.meets_edge is None
         assert vd.guarantee == GUARANTEED_BY_SPECTRAL
 
+    def test_which_spectral_on_extremal_is_the_exception(self):
+        # the spectral route alone fires, and the extremal graph is exempt
+        vd = verdict(extremal(8, 2), which="spectral")
+        assert vd.meets_edge is None and vd.meets_spectral
+        assert vd.is_extremal
+        assert vd.guarantee == EXTREMAL_EXCEPTION
+
+    def test_unknown_route_rejected(self):
+        with pytest.raises(ValueError, match=r"which must be edges\|spectral\|both, got .bogus."):
+            verdict(extremal(8, 2), which="bogus")
+
     def test_disconnected_reason(self):
         vd = verdict(disjoint_union([complete(4), complete(4)]))
         assert vd.guarantee == NO_GUARANTEE
