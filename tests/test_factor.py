@@ -2,7 +2,9 @@
 the cycle-space search with the brute-force scan, and the odd-components
 condition with its implication on small even-order graphs."""
 
+import hashlib
 import time
+from math import comb
 
 import pytest
 
@@ -27,7 +29,12 @@ from evenfactor.graphs import (
     odd_components_minus,
     path,
 )
-from evenfactor.rng import SplitMix64, random_connected_graph, random_graph_with_edges
+from evenfactor.rng import (
+    SplitMix64,
+    complete_minus_random_edges,
+    random_connected_graph,
+    random_graph_with_edges,
+)
 
 
 # every vertex on a cycle, three degree-2 vertices; the forced edges at
@@ -84,6 +91,27 @@ class TestCycleSpaceBasis:
             g = random_graph_with_edges(n, m, rng)
             c = len(g.components())
             assert len(cycle_space_basis(g)) == m - n + c
+
+    def test_forest_walk_is_pinned(self):
+        # the edge list and every fundamental-cycle mask, in order, on dense
+        # and sparse draws with n <= 14 and on disjoint unions (forests of
+        # several roots); any change to the walk's tree or basis order moves
+        # this hash
+        rng = SplitMix64(1616)
+        graphs = []
+        for _ in range(250):
+            n = 1 + rng.randrange(14)
+            total = comb(n, 2)
+            graphs.append(complete_minus_random_edges(n, rng.randrange(total + 1), rng))
+            graphs.append(random_graph_with_edges(n, rng.randrange(total + 1), rng))
+        graphs += [disjoint_union(graphs[i : i + 3]) for i in range(0, 60, 3)]
+        lines = "".join(
+            f"{edges}|{[hex(m) for m in basis]}\n"
+            for edges, basis in map(factor._spanning_forest_chords, graphs)
+        )
+        assert hashlib.sha256(lines.encode()).hexdigest() == (
+            "a0e6890f21c449683b1376c6077a927b58afeecf9919b5fc0274e91ebffa4f90"
+        )
 
 
 class TestOracle:
