@@ -69,34 +69,33 @@ def _spanning_forest_chords(g: Graph) -> tuple[list[Edge], list[int]]:
     """Edges of g plus the fundamental-cycle edge masks of its chords."""
     edges = g.edges()
     eindex = {e: i for i, e in enumerate(edges)}
-    # path[v]: mask of the tree edges from v up to its root
+    # path[v]: mask of the tree edges from v up to its root; seen holds the
+    # vertices reached so far and tree the edge bits of the forest
     path = [0] * g.n
-    in_tree = [False] * g.n
-    tree_edges: set[Edge] = set()
+    seen = tree = 0
     for root in range(g.n):
-        if in_tree[root]:
+        if seen >> root & 1:
             continue
-        in_tree[root] = True
+        seen |= 1 << root
         stack = [root]
         while stack:
             v = stack.pop()
-            m = g.adj[v]
+            m = g.adj[v] & ~seen
+            seen |= m
             while m:
                 b = m & -m
                 u = b.bit_length() - 1
                 m ^= b
-                if not in_tree[u]:
-                    in_tree[u] = True
-                    e = (u, v) if u < v else (v, u)
-                    path[u] = path[v] | (1 << eindex[e])
-                    tree_edges.add(e)
-                    stack.append(u)
+                bit = 1 << eindex[(u, v) if u < v else (v, u)]
+                path[u] = path[v] | bit
+                tree |= bit
+                stack.append(u)
     # the two root paths share their part above the meeting vertex, which
     # the XOR cancels, leaving the chord's fundamental cycle
     basis = [
-        (1 << eindex[(u, v)]) ^ path[u] ^ path[v]
-        for u, v in edges
-        if (u, v) not in tree_edges
+        (1 << i) ^ path[u] ^ path[v]
+        for i, (u, v) in enumerate(edges)
+        if not tree >> i & 1
     ]
     return edges, basis
 

@@ -91,25 +91,22 @@ def _shifted_rows(g: Graph, comp: int) -> Iterable[int]:
 
 def _power_iterate(shifted: np.ndarray, tol: float, max_iter: int) -> tuple[float, int, float]:
     """Power iteration on one connected block of A + I, of order at least 2.
-    Returns the estimate of rho(A), the iterations used and the residual.
-    A block that does not converge within max_iter iterations returns its
-    best estimate and residual instead; that residual exceeds tol."""
+    Returns the estimate of rho(A), the iterations used and the residual of
+    the last iteration: the converged one, or iteration max_iter, whose
+    residual exceeds tol."""
     import numpy as np
 
     k = shifted.shape[0]
     v = np.full(k, 1.0 / np.sqrt(k))
-    best = (0.0, np.inf)
     for it in range(1, max_iter + 1):
         w = shifted @ v
         lam = float(v @ w)
         residual = float(np.abs(w - lam * v).max())
         if residual <= tol:
-            return lam - 1.0, it, residual
-        if residual < best[1]:
-            best = (lam - 1.0, residual)
+            break
         # exactly what np.linalg.norm computes for a 1-D float vector
         v = w / math.sqrt(w.dot(w))
-    return best[0], max_iter, best[1]
+    return lam - 1.0, it, residual
 
 
 def _power_iterate_stack(
@@ -119,26 +116,23 @@ def _power_iterate_stack(
     once, with the same floating-point operations per block: `stack @ v` is
     each block's gemv and `v^T @ w` each block's dot.  A converged block
     rides along masked until the last block converges: it keeps iterating,
-    but only live blocks update their best pair."""
+    but its result is written once, when it converges or at max_iter."""
     import numpy as np
 
     b, k, _ = stack.shape
-    # the best pair so far; a converging residual is below every earlier
-    # one, so a converged block's best pair is its result
-    rho = np.zeros(b)
-    residual = np.full(b, np.inf)
-    iterations = np.full(b, max_iter)
+    rho = np.empty(b)
+    residual = np.empty(b)
+    iterations = np.empty(b, dtype=int)
     live = np.ones(b, dtype=bool)
     v = np.full((b, k, 1), 1.0 / np.sqrt(k))
     for it in range(1, max_iter + 1):
         w = stack @ v
         lam = v.transpose(0, 2, 1) @ w
         res = np.abs(w - lam * v).max(axis=(1, 2))
-        better = live & (res < residual)
-        rho = np.where(better, lam[:, 0, 0] - 1.0, rho)
-        residual = np.where(better, res, residual)
-        done = live & (res <= tol)
+        done = live & ((res <= tol) | (it == max_iter))
         if done.any():
+            rho[done] = lam[done, 0, 0] - 1.0
+            residual[done] = res[done]
             iterations[done] = it
             live &= ~done
             if not live.any():

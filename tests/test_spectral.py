@@ -107,6 +107,28 @@ def test_nonconvergence_is_explicit(monkeypatch):
     assert exc.value.residual > 0
 
 
+def test_nonconvergence_reports_the_last_iterate(monkeypatch):
+    # the error carries the estimate and residual of iteration max_iter,
+    # computed here by plain numpy power iteration on A + I
+    set_power(monkeypatch, 1e-15, 3)
+    g = extremal(12, 3)
+    shifted = adjacency_matrix(g) + np.eye(g.n)
+    v = np.ones(g.n) / np.sqrt(g.n)
+    for _ in range(3):
+        w = shifted @ v
+        lam = float(v @ w)
+        residual = float(np.abs(w - lam * v).max())
+        v = w / np.linalg.norm(w)
+    want = ((lam - 1.0).hex(), residual.hex())
+    with pytest.raises(PowerIterationError) as exc:
+        spectral_radius(g)
+    assert (exc.value.estimate.hex(), exc.value.residual.hex()) == want
+    # second in a stack of three order-12 blocks; K_12 converges at once
+    with pytest.raises(PowerIterationError) as exc:
+        spectral_radii([complete(12), g, cycle(12)])
+    assert (exc.value.estimate.hex(), exc.value.residual.hex()) == want
+
+
 def test_adjacency_matrix_from_bitmasks():
     g = disjoint_union([cycle(5), complete(4), path(3)])
     a = adjacency_matrix(g)
