@@ -305,6 +305,8 @@ def main(argv: list[str] | None = None) -> int:
         "report": _cmd_report,
     }
     try:
+        if args.jobs < 1:
+            raise ValueError(f"jobs must be at least 1, got {args.jobs}")
         code = dispatch[args.command](args)
         sys.stdout.flush()
         return code

@@ -131,7 +131,8 @@ def write_edge_list(g: Graph) -> str:
 
 def parse_edge_list(text: str) -> Graph:
     """One "u v" pair per line, 0-indexed.  An optional leading line with a
-    single integer fixes the vertex count; otherwise n = max label + 1."""
+    single integer fixes the vertex count; otherwise n = max label + 1.
+    Either way n is at most graph6's cap, 2**36 - 1."""
     n = None
     edges = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -153,6 +154,8 @@ def parse_edge_list(text: str) -> Graph:
         edges.append((u, v))
     if n is None:
         n = 1 + max((max(e) for e in edges), default=-1)
+    if n > _MAX_N:
+        raise GraphParseError(f"edge list: vertex count {n} exceeds the graph6 cap {_MAX_N}")
     try:
         return Graph.from_edges(n, edges)
     except ValueError as exc:

@@ -189,6 +189,30 @@ def test_empty_graph6_is_a_parse_error(capsys, monkeypatch):
     assert err == "parse-error: empty input (byte offset 0)\n"
 
 
+@pytest.mark.parametrize("n", [10**21, 2**36], ids=["1e21", "2^36"])
+def test_edge_list_header_past_the_graph6_cap_is_a_parse_error(capsys, monkeypatch, n):
+    # refused before any adjacency is allocated, so no OverflowError or
+    # MemoryError escapes
+    code, out, err = run(capsys, ["check", "condition"], stdin=f"{n}\n", monkeypatch=monkeypatch)
+    assert code == 3
+    assert out == ""
+    assert err == (
+        f"parse-error: edge list: vertex count {n} exceeds the graph6 cap {2**36 - 1}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["threshold", "--n", "8", "--delta", "2", "--edges"], ["verdict", "--graph6", "C~"]],
+    ids=["threshold", "verdict"],
+)
+def test_jobs_below_one_is_a_usage_error_for_every_command(capsys, argv):
+    code, out, err = run(capsys, ["--jobs", "0", *argv])
+    assert code == 2
+    assert out == ""
+    assert err == "usage-error: jobs must be at least 1, got 0\n"
+
+
 @pytest.mark.parametrize(
     "command", [["check", "even-factor"], ["check", "condition"], ["spectral"], ["verdict"]]
 )
