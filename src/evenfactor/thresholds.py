@@ -33,7 +33,8 @@ def edge_threshold(n: int, delta: int) -> int:
 
 def spectral_threshold(n: int, delta: int) -> float:
     """Spectral radius of the extremal graph, as the largest root of the
-    quotient characteristic cubic; always exceeds n - delta."""
+    quotient characteristic cubic; the float is >= n - delta (the exact root
+    exceeds it, by under one ulp at large n and small delta)."""
     poly = char_poly(quotient_merged_core(n, delta))
     return largest_real_root(poly, float(n - delta))
 
