@@ -311,6 +311,27 @@ class TestSpectralRadii:
 
 
 class TestQuotients:
+    def test_rows_are_pinned(self):
+        # every merged-core quotient (n, s) and small-cliques quotient
+        # (n, s, delta) with n <= 40, "err" where the blocks are empty; any
+        # change to a builder's rows or to where it refuses moves this hash
+        def rows(build, *args):
+            try:
+                return build(*args).rows
+            except ValueError:
+                return "err"
+
+        lines = []
+        for n in range(2, 41):
+            for s in range(1, n):
+                lines.append(f"m {n} {s} {rows(quotient_merged_core, n, s)}\n")
+                for delta in range(1, n):
+                    q = rows(quotient_small_cliques, n, s, delta)
+                    lines.append(f"q {n} {s} {delta} {q}\n")
+        assert hashlib.sha256("".join(lines).encode()).hexdigest() == (
+            "0c0f7defcd3f3ccf39e15e9c13ac8d88ad815f18437271fc697a481162221627"
+        )
+
     def test_extremal_8_2_rows(self):
         q = quotient_merged_core(8, 2)
         assert q.rows == ((1, 5, 1), (2, 4, 0), (2, 0, 0))
