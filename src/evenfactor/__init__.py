@@ -48,14 +48,12 @@ from .rng import SplitMix64, random_connected_graph, random_graph_with_edges
 from .spectral import (
     CubicPoly,
     PowerIterationError,
-    QuotientMatrix3,
     RootFindingError,
     SpectralResult,
     char_poly,
     largest_real_root,
-    quotient_merged_core,
-    quotient_small_cliques,
     spectral_radius,
+    split_quotient,
 )
 from .thresholds import (
     Verdict,

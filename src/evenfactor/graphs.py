@@ -263,7 +263,7 @@ def extremal(n: int, delta: int) -> Graph:
         raise ValueError("delta must be at least 1")
     if n - 2 * delta + 1 < 1:
         raise ValueError(f"n={n} too small for delta={delta}: big clique would be empty")
-    return build_family(FamilySpec(delta, (n - 2 * delta + 1,) + (1,) * (delta - 1)))
+    return build_family(merged_family(n, delta, delta, 1))
 
 
 # --- structural queries ------------------------------------------------------

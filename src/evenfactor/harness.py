@@ -56,8 +56,6 @@ CSV_COLUMNS = [
     "elapsed_ms",
 ]
 
-RHO_STRICT_MARGIN = 1e-9
-
 # draws the sampler may reject before it gives up on one sample
 RETRY_BUDGET = 500
 
@@ -141,9 +139,10 @@ def _partitions(total: int, t: int, p: int, cap: int) -> Iterator[tuple[int, ...
 def lemma_merge_sweep(max_n: int, max_s: int, ps: Iterable[int]) -> SweepReport:
     """For every valid split family strictly below its merged form, assert the
     strict edge-count and spectral-radius inequalities against the merged
-    family K_s v (K_{n-s-p(t-1)} u (t-1)K_p).  Every filler order p is at
-    least 1, and a repeated one counts once; a sweep that yields no instance
-    is a ValueError."""
+    family K_s v (K_{n-s-p(t-1)} u (t-1)K_p); the radius is strictly below
+    when `meets_spectral` fails, so both radius tests share one tolerance.
+    Every filler order p is at least 1, and a repeated one counts once; a
+    sweep that yields no instance is a ValueError."""
     ps = sorted(set(ps))
     if any(p < 1 for p in ps):
         raise ValueError(f"lemma parts must be at least 1, got {ps}")
@@ -176,7 +175,7 @@ def lemma_merge_sweep(max_n: int, max_s: int, ps: Iterable[int]) -> SweepReport:
         gl, rho_l = graphs[i], radii[i].rho
         e_merged, rho_merged = graphs[m].edge_count, radii[m].rho
         edge_ok = gl.edge_count < e_merged
-        rho_ok = rho_l < rho_merged - RHO_STRICT_MARGIN
+        rho_ok = not meets_spectral(rho_l, rho_merged)
         row = _row(
             "lemma_merge",
             0,

@@ -23,7 +23,7 @@ from math import isfinite
 from typing import Iterable
 
 from .graphs import build_family, merged_family
-from .spectral import char_poly, quotient_merged_core, quotient_small_cliques
+from .spectral import char_poly, split_quotient
 from .thresholds import edge_route_floor, spectral_route_floor, spectral_threshold
 
 FLOAT_RTOL = 1e-9
@@ -389,7 +389,7 @@ def grid_row(n: int, delta: int) -> list[IdentityCheck]:
     small-cliques family's edge surplus and cubic once where that family
     exists.  Raises ValueError when the extremal family does not exist."""
     e_star = build_family(merged_family(n, delta, delta, 1)).edge_count
-    p_star = char_poly(quotient_merged_core(n, delta))
+    p_star = char_poly(split_quotient(n, delta, 1))
     theta = spectral_threshold(n, delta)
     root_residual = abs(p_star(theta))
     root_ok = root_residual <= FLOAT_RTOL * max(1.0, abs(theta) ** 3)
@@ -401,7 +401,7 @@ def grid_row(n: int, delta: int) -> list[IdentityCheck]:
         rhs = Fraction((s - delta) * (2 * n - 3 * s - 3 * delta + 3), 2)
         checks.append(make_check("edge_surplus_merged_core", params, surplus, rhs))
         if s >= 2:
-            p_merged = char_poly(quotient_merged_core(n, s))
+            p_merged = char_poly(split_quotient(n, s, 1))
             checks += _charpoly_gap_checks(
                 "charpoly_gap_merged_core", params, p_merged, p_star, s - delta, radius_gap_quadratic
             )
@@ -409,7 +409,7 @@ def grid_row(n: int, delta: int) -> list[IdentityCheck]:
         p_small = small_surplus = None
         if s >= 2 and q >= 1 and n - s - q * (s - 1) >= q:
             small_surplus = e_star - build_family(merged_family(n, s, s, q)).edge_count
-            p_small = char_poly(quotient_small_cliques(n, s, delta))
+            p_small = char_poly(split_quotient(n, s, q))
             rhs = Fraction((delta - s) * edge_gap_cubic(s, n, delta), 2)
             checks.append(make_check("edge_surplus_small_cliques", params, small_surplus, rhs))
             checks += _charpoly_gap_checks(

@@ -1,5 +1,6 @@
-"""Spectral radius of graphs and of the 3x3 equitable quotient matrices of
-the split families, with exact integer characteristic cubics.
+"""Spectral radius of graphs and of the 3x3 equitable quotient matrix of the
+split family K_s v (K_{n-s-q(s-1)} u (s-1)K_q), with its exact integer
+characteristic cubic.
 
 Power iteration runs on A + I throughout: the shift keeps the Perron vector,
 moves every eigenvalue up by one, and removes the +/- oscillation that stalls
@@ -207,40 +208,19 @@ def spectral_radius(g: Graph) -> SpectralResult:
 # --- quotient matrices of the split-family equitable partitions ---------------
 
 
-@dataclass(frozen=True)
-class QuotientMatrix3:
-    """3x3 integer quotient matrix over blocks (join core, big clique, small
-    cliques); entries are the constant block row sums of the adjacency."""
-
-    rows: tuple[tuple[int, int, int], ...]
-
-
-def quotient_merged_core(n: int, s: int) -> QuotientMatrix3:
-    """Quotient of K_s v (K_{n-2s+1} u (s-1)K_1) over its three blocks; at
-    s = delta, the quotient of the threshold-attaining graph."""
-    if s < 2 or n - 2 * s + 1 < 1:
-        raise ValueError(f"blocks empty for n={n}, s={s}")
-    return QuotientMatrix3(
-        rows=(
-            (s - 1, n - 2 * s + 1, s - 1),
-            (s, n - 2 * s, 0),
-            (s, 0, 0),
-        ),
-    )
-
-
-def quotient_small_cliques(n: int, s: int, delta: int) -> QuotientMatrix3:
-    """Quotient of K_s v (K_{n-s-q(s-1)} u (s-1)K_q) with q = delta+1-s."""
-    q = delta + 1 - s
+def split_quotient(n: int, s: int, q: int) -> tuple[tuple[int, int, int], ...]:
+    """Rows of the 3x3 integer quotient of K_s v (K_{n-s-q(s-1)} u (s-1)K_q)
+    over its blocks (join core, big clique, small cliques): entry (i, j) is
+    the constant number of neighbours a block-i vertex has in block j.  At
+    q = 1 it is the merged-core family, and at s = delta, q = 1 the
+    threshold-attaining graph."""
     big = n - s - q * (s - 1)
     if s < 2 or q < 1 or big < 1:
-        raise ValueError(f"blocks empty for n={n}, s={s}, delta={delta}")
-    return QuotientMatrix3(
-        rows=(
-            (s - 1, big, (s - 1) * q),
-            (s, big - 1, 0),
-            (s, 0, q - 1),
-        ),
+        raise ValueError(f"blocks empty for n={n}, s={s}, q={q}")
+    return (
+        (s - 1, big, (s - 1) * q),
+        (s, big - 1, 0),
+        (s, 0, q - 1),
     )
 
 
@@ -262,9 +242,10 @@ class CubicPoly:
         return (1, self.c2, self.c1, self.c0)
 
 
-def char_poly(m: QuotientMatrix3) -> CubicPoly:
-    """det(xI - M) expanded in exact integer arithmetic."""
-    (a, b, c), (d, e, f), (g, h, i) = m.rows
+def char_poly(rows: tuple[tuple[int, int, int], ...]) -> CubicPoly:
+    """det(xI - M) of the 3x3 matrix M with these rows, expanded in exact
+    integer arithmetic."""
+    (a, b, c), (d, e, f), (g, h, i) = rows
     trace = a + e + i
     minors = (e * i - f * h) + (a * i - c * g) + (a * e - b * d)
     det = (

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .graphs import Graph
-from .spectral import char_poly, largest_real_root, quotient_merged_core, spectral_radius
+from .spectral import char_poly, largest_real_root, spectral_radius, split_quotient
 
 GUARANTEED_BY_EDGES = "even_factor_guaranteed_by_1.1"
 GUARANTEED_BY_SPECTRAL = "even_factor_guaranteed_by_1.2"
@@ -35,7 +35,7 @@ def spectral_threshold(n: int, delta: int) -> float:
     """Spectral radius of the extremal graph, as the largest root of the
     quotient characteristic cubic; the float is >= n - delta (the exact root
     exceeds it, by under one ulp at large n and small delta)."""
-    poly = char_poly(quotient_merged_core(n, delta))
+    poly = char_poly(split_quotient(n, delta, 1))
     return largest_real_root(poly, float(n - delta))
 
 

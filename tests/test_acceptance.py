@@ -20,7 +20,7 @@ from evenfactor.graphs import Graph, extremal
 from evenfactor.harness import lemma_merge_sweep, soundness_sweep, tightness_report
 from evenfactor.identities import grid_failures, run_identity_grid
 from evenfactor.rng import SplitMix64, random_graph_with_edges
-from evenfactor.spectral import char_poly, largest_real_root, quotient_merged_core, spectral_radius
+from evenfactor.spectral import char_poly, largest_real_root, spectral_radius, split_quotient
 from evenfactor.thresholds import edge_threshold, spectral_threshold
 
 
@@ -60,7 +60,7 @@ def test_02_quotient_eigenvalue_equality():
         for n in range(2 * delta, 41, 2):
             rho = spectral_radius(extremal(n, delta)).rho
             root = largest_real_root(
-                char_poly(quotient_merged_core(n, delta)), float(n - delta)
+                char_poly(split_quotient(n, delta, 1)), float(n - delta)
             )
             worst = max(worst, abs(rho - root))
     dt = time.time() - t0

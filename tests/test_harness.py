@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from evenfactor import harness
+from evenfactor import harness, thresholds
 from evenfactor.factor import EXISTS
 from evenfactor.graph6 import parse_graph6
 from evenfactor.graphs import FamilySpec, build_family, merged_family
@@ -41,6 +41,16 @@ class TestLemmaMergeSweep:
         )
         assert row["meets_e"] and row["meets_rho"]
         assert row["rho"] < row["rho_thr"] - 1e-9
+
+    def test_radius_test_reads_the_shared_tolerance(self, monkeypatch):
+        # the strict radius test is `not meets_spectral`: widened past the
+        # smallest gap rho_merged - rho_l of this sweep (0.2147), the one
+        # tolerance turns the closest rows into counterexamples
+        monkeypatch.setattr(thresholds, "RHO_EQUALITY_TOL", 0.25)
+        rep = lemma_merge_sweep(10, 2, [1])
+        assert rep.counterexamples
+        for row in rep.counterexamples:
+            assert not row["meets_rho"] and row["rho_thr"] - row["rho"] <= 0.25
 
     def test_boundary_partition_excluded(self):
         # partitions already in merged shape never appear as rows

@@ -23,10 +23,9 @@ from evenfactor.spectral import (
     adjacency_matrix,
     char_poly,
     largest_real_root,
-    quotient_merged_core,
-    quotient_small_cliques,
     spectral_radii,
     spectral_radius,
+    split_quotient,
 )
 
 # frozen to full double precision by two independent routes (dense
@@ -317,37 +316,37 @@ class TestQuotients:
         # change to a builder's rows or to where it refuses moves this hash
         def rows(build, *args):
             try:
-                return build(*args).rows
+                return build(*args)
             except ValueError:
                 return "err"
 
         lines = []
         for n in range(2, 41):
             for s in range(1, n):
-                lines.append(f"m {n} {s} {rows(quotient_merged_core, n, s)}\n")
+                lines.append(f"m {n} {s} {rows(split_quotient, n, s, 1)}\n")
                 for delta in range(1, n):
-                    q = rows(quotient_small_cliques, n, s, delta)
+                    q = rows(split_quotient, n, s, delta + 1 - s)
                     lines.append(f"q {n} {s} {delta} {q}\n")
         assert hashlib.sha256("".join(lines).encode()).hexdigest() == (
             "0c0f7defcd3f3ccf39e15e9c13ac8d88ad815f18437271fc697a481162221627"
         )
 
     def test_extremal_8_2_rows(self):
-        q = quotient_merged_core(8, 2)
-        assert q.rows == ((1, 5, 1), (2, 4, 0), (2, 0, 0))
+        q = split_quotient(8, 2, 1)
+        assert q == ((1, 5, 1), (2, 4, 0), (2, 0, 0))
 
     def test_merged_core_coincides_at_delta(self):
         # at s = delta the merged core is the extremal graph's quotient
-        q = quotient_merged_core(8, 2)
+        q = split_quotient(8, 2, 1)
         g = extremal(8, 2)
         blocks = [range(0, 2), range(2, 7), range(7, 8)]
         for bi, block in enumerate(blocks):
             for v in block:
                 counts = [sum(1 for u in blk if g.has_edge(u, v)) for blk in blocks]
-                assert counts == list(q.rows[bi])
+                assert counts == list(q[bi])
 
     def test_small_cliques_rows(self):
-        assert quotient_small_cliques(14, 3, 4).rows == (
+        assert split_quotient(14, 3, 2) == (
             (2, 7, 4),
             (3, 6, 0),
             (3, 0, 1),
@@ -355,19 +354,19 @@ class TestQuotients:
 
     def test_invalid_blocks_rejected(self):
         with pytest.raises(ValueError):
-            quotient_merged_core(5, 3)
+            split_quotient(5, 3, 1)
         with pytest.raises(ValueError):
-            quotient_merged_core(8, 1)
+            split_quotient(8, 1, 1)
         with pytest.raises(ValueError):
-            quotient_small_cliques(8, 4, 3)  # q = 0
+            split_quotient(8, 4, 0)
 
     def test_row_sums_equal_realized_block_degrees(self):
         # equitability in the concrete graph: each row sums to the degree of
         # any vertex in its block
         cases = [
-            (quotient_merged_core(10, 3), FamilySpec(3, (5, 1, 1))),
-            (quotient_small_cliques(14, 3, 4), FamilySpec(3, (7, 2, 2))),
-            (quotient_merged_core(12, 4), FamilySpec(4, (5, 1, 1, 1))),
+            (split_quotient(10, 3, 1), FamilySpec(3, (5, 1, 1))),
+            (split_quotient(14, 3, 2), FamilySpec(3, (7, 2, 2))),
+            (split_quotient(12, 4, 1), FamilySpec(4, (5, 1, 1, 1))),
         ]
         for q, spec in cases:
             g = build_family(spec)
@@ -376,12 +375,12 @@ class TestQuotients:
             borders = [0, s, s + big, g.n]
             for bi in range(3):
                 v = borders[bi]
-                assert sum(q.rows[bi]) == g.degree(v)
+                assert sum(q[bi]) == g.degree(v)
 
     def test_block_to_block_counts_are_constant(self):
         # every vertex of a block has the same number of neighbours in each
         # block (the partition really is equitable)
-        q = quotient_small_cliques(16, 4, 5)
+        q = split_quotient(16, 4, 2)
         spec = FamilySpec(4, (16 - 4 - 2 * 3, 2, 2, 2))
         g = build_family(spec)
         blocks = [range(0, 4), range(4, 10), range(10, 16)]
@@ -391,26 +390,23 @@ class TestQuotients:
                     sum(1 for u in blk if g.has_edge(u, v) and u != v)
                     for blk in blocks
                 ]
-                assert counts == list(q.rows[bi])
+                assert counts == list(q[bi])
 
 
 class TestCharPoly:
     def test_extremal_8_2(self):
-        p = char_poly(quotient_merged_core(8, 2))
+        p = char_poly(split_quotient(8, 2, 1))
         assert p.coefficients() == (1, -5, -8, 8)
 
     def test_zero_matrix(self):
-        from evenfactor.spectral import QuotientMatrix3
-
-        q = QuotientMatrix3(rows=((0, 0, 0),) * 3)
-        assert char_poly(q).coefficients() == (1, 0, 0, 0)
+        assert char_poly(((0, 0, 0),) * 3).coefficients() == (1, 0, 0, 0)
 
     def test_extremal_closed_form_grid(self):
         for n in range(4, 201):
             for delta in range(2, 13):
                 if n < 2 * delta:
                     continue
-                p = char_poly(quotient_merged_core(n, delta))
+                p = char_poly(split_quotient(n, delta, 1))
                 assert p.coefficients() == (
                     1,
                     -(n - delta - 1),
@@ -425,7 +421,7 @@ class TestCharPoly:
         for _ in range(20):
             s = 2 + rng.randrange(8)
             n = 2 * s + rng.randrange(30)
-            p = char_poly(quotient_merged_core(n, s))
+            p = char_poly(split_quotient(n, s, 1))
             assert p.coefficients() == (
                 1,
                 -(n - s - 1),
@@ -436,14 +432,10 @@ class TestCharPoly:
     def test_matches_sympy_symbolically(self):
         sympy = pytest.importorskip("sympy")
         x = sympy.symbols("x")
-        for builder, args in [
-            (quotient_merged_core, (17, 4)),
-            (quotient_merged_core, (20, 5)),
-            (quotient_small_cliques, (18, 3, 5)),
-        ]:
-            q = builder(*args)
+        for args in [(17, 4, 1), (20, 5, 1), (18, 3, 3)]:
+            q = split_quotient(*args)
             ours = char_poly(q)
-            M = sympy.Matrix([list(r) for r in q.rows])
+            M = sympy.Matrix([list(r) for r in q])
             ref = sympy.Poly(
                 sympy.expand(sympy.det(x * sympy.eye(3) - M)), x
             ).all_coeffs()
@@ -477,7 +469,7 @@ class TestLargestRealRoot:
             for delta in (2, 3, 4):
                 if n < 2 * delta:
                     continue
-                p = char_poly(quotient_merged_core(n, delta))
+                p = char_poly(split_quotient(n, delta, 1))
                 assert largest_real_root(p, float(n - delta)) > n - delta
 
 
@@ -487,6 +479,6 @@ def test_quotient_root_equals_graph_radius():
         g = extremal(n, delta)
         rho = spectral_radius(g).rho
         root = largest_real_root(
-            char_poly(quotient_merged_core(n, delta)), float(n - delta)
+            char_poly(split_quotient(n, delta, 1)), float(n - delta)
         )
         assert abs(rho - root) <= 1e-8
