@@ -324,6 +324,12 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"usage-error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError:
+        pass
+    # reported outside the handler, once the frames that held the memory
+    # are freed
+    print(f"usage-error: out of memory running {args.command}", file=sys.stderr)
+    return EXIT_USAGE
 
 
 if __name__ == "__main__":

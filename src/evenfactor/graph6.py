@@ -132,7 +132,8 @@ def write_edge_list(g: Graph) -> str:
 def parse_edge_list(text: str) -> Graph:
     """One "u v" pair per line, 0-indexed.  An optional leading line with a
     single integer fixes the vertex count; otherwise n = max label + 1.
-    Either way n is at most graph6's cap, 2**36 - 1."""
+    Either way n is at most graph6's cap, 2**36 - 1, and a graph too large
+    to allocate is a GraphParseError too."""
     n = None
     edges = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -160,3 +161,7 @@ def parse_edge_list(text: str) -> Graph:
         return Graph.from_edges(n, edges)
     except ValueError as exc:
         raise GraphParseError(f"edge list: {exc}") from None
+    except MemoryError:
+        pass
+    # raised outside the handler, so the failed allocation's frames are freed
+    raise GraphParseError(f"edge list: {n} vertices do not fit in memory")

@@ -201,6 +201,48 @@ def test_edge_list_header_past_the_graph6_cap_is_a_parse_error(capsys, monkeypat
     )
 
 
+# address space, in bytes, of a child that must run out of memory; the limit
+# binds the child only, never the test process
+CHILD_ADDRESS_SPACE = 1 << 28
+
+
+def _run_out_of_memory(argv, stdin=""):
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE))
+
+    return subprocess.run(
+        [sys.executable, "-m", "evenfactor.cli", *argv],
+        input=stdin,
+        capture_output=True,
+        text=True,
+        env=_subprocess_env(),
+        preexec_fn=limit,
+        timeout=60,
+    )
+
+
+@pytest.mark.parametrize(
+    "stdin, n",
+    [(f"{2**36 - 1}\n", 2**36 - 1), ("0 60000000000\n", 60000000001)],
+    ids=["header", "implied"],
+)
+def test_edge_list_too_large_to_allocate_is_a_parse_error(stdin, n):
+    # at or below graph6's cap, but past the memory the reader may take
+    proc = _run_out_of_memory(["check", "condition"], stdin)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == f"parse-error: edge list: {n} vertices do not fit in memory\n"
+
+
+def test_out_of_memory_is_a_usage_error():
+    proc = _run_out_of_memory(["gen", "extremal", "--n", "1000000", "--delta", "2"])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "usage-error: out of memory running gen\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [["threshold", "--n", "8", "--delta", "2", "--edges"], ["verdict", "--graph6", "C~"]],
