@@ -139,10 +139,11 @@ def _partitions(total: int, t: int, p: int, cap: int) -> Iterator[tuple[int, ...
 def lemma_merge_sweep(max_n: int, max_s: int, ps: Iterable[int]) -> SweepReport:
     """For every valid split family strictly below its merged form, assert the
     strict edge-count and spectral-radius inequalities against the merged
-    family K_s v (K_{n-s-p(t-1)} u (t-1)K_p); the radius is strictly below
-    when `meets_spectral` fails, so both radius tests share one tolerance.
-    Every filler order p is at least 1, and a repeated one counts once; a
-    sweep that yields no instance is a ValueError."""
+    family K_s v (K_{n-s-p(t-1)} u (t-1)K_p); a radius is strictly below
+    when `meets_spectral` fails, so the lemma reads the tolerance of every
+    other radius comparison.  Every filler order p is at least 1, and a
+    repeated one counts once; a sweep that yields no instance is a
+    ValueError."""
     ps = sorted(set(ps))
     if any(p < 1 for p in ps):
         raise ValueError(f"lemma parts must be at least 1, got {ps}")

@@ -40,8 +40,9 @@ def spectral_threshold(n: int, delta: int) -> float:
 
 
 def meets_spectral(rho: float, rho_thr: float) -> bool:
-    """rho >= rho_thr up to RHO_EQUALITY_TOL: the one comparison of a
-    spectral radius against the spectral threshold."""
+    """rho >= rho_thr up to RHO_EQUALITY_TOL: the one comparison of two
+    spectral radii, against the spectral threshold or (negated, as the
+    merge lemma's strict test) against a merged family's radius."""
     return rho >= rho_thr - RHO_EQUALITY_TOL
 
 
