@@ -1,11 +1,15 @@
 """graph6 codec: frozen vectors, round-trip properties, and a cross-check
 against networkx's implementation of the same format."""
 
+import hashlib
+import re
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evenfactor.cli import _parse_graph_text
 from evenfactor.graph6 import (
     Graph6Error,
     GraphParseError,
@@ -113,3 +117,63 @@ def test_edge_list_roundtrip():
         parse_edge_list("0 0\n")  # loop
     with pytest.raises(GraphParseError):
         parse_edge_list("a b\n")
+
+
+# every character class the two readers branch on: the graph6 range, ASCII
+# and non-ASCII digits ("٣" is int 3, "²" is isdigit() but not int), the
+# edge-list separators and comment mark, the header escape "~", and a
+# non-ASCII letter
+_G6_ALPHABET = "".join(chr(b) for b in range(63, 127)) + "0123456789 \n#-~é٣²"
+_TEXT_ALPHABET = "0123456789   \n\n#-~_Aé٣²"
+
+
+def _parse_corpus() -> list[str]:
+    """A fixed seeded corpus of graph text: random strings over the two
+    alphabets, truncated 1-, 4- and 8-byte size headers, and valid graph6
+    strings with one byte changed, cut or appended.  Strings with a run of
+    more than five digit characters are left out: the edge-list reader
+    would allocate that many vertices."""
+    rng = SplitMix64(2024)
+    corpus = []
+    for k in range(24000):
+        alphabet = _G6_ALPHABET if k % 2 else _TEXT_ALPHABET
+        length = rng.randrange(13)
+        corpus.append("".join(alphabet[rng.randrange(len(alphabet))] for _ in range(length)))
+    header = [chr(63 + rng.randrange(64)) for _ in range(8)]
+    for cut in range(1, 9):
+        corpus.append("~" + "".join(header[: cut - 1]))
+        corpus.append("~~" + "".join(header[: cut - 1]))
+        corpus.append("".join(header[:cut]))
+    for _ in range(2000):
+        n = rng.randrange(13)
+        g = random_graph_with_edges(n, rng.randrange(n * (n - 1) // 2 + 1), rng)
+        s = write_graph6(g)
+        i = rng.randrange(len(s))
+        corpus.append(s)
+        corpus.append(s[:i] + _G6_ALPHABET[rng.randrange(len(_G6_ALPHABET))] + s[i + 1 :])
+        corpus.append(s[:i])
+        corpus.append(s + _G6_ALPHABET[rng.randrange(len(_G6_ALPHABET))])
+    too_large = re.compile(r"[\d_]{6,}")
+    return [s for s in corpus if not too_large.search(s)]
+
+
+def _outcome(parse, text: str) -> str:
+    try:
+        g = parse(text)
+    except Exception as exc:
+        return f"{type(exc).__name__}|{exc}|{getattr(exc, 'offset', None)}"
+    return f"{g.n}|{','.join(map(hex, g.adj))}"
+
+
+def test_parse_outcomes_are_pinned():
+    # the graph, or the error type, message and offset, of both readers over
+    # the whole corpus
+    corpus = _parse_corpus()
+    assert len(corpus) > 30000
+    digest = hashlib.sha256()
+    for text in corpus:
+        for parse in (parse_graph6, _parse_graph_text):
+            digest.update(_outcome(parse, text).encode("utf-8", "surrogateescape") + b"\n")
+    assert digest.hexdigest() == (
+        "54e84febea0e912c1606a3e469c019df4ca666c6fcb3e9efd36abe6136b50c3e"
+    )
