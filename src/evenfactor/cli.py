@@ -15,6 +15,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import Iterable
 
 from .factor import UNKNOWN, check_yan_kano_condition, has_even_factor
 from .graph6 import (
@@ -31,7 +32,6 @@ from .harness import (
     lemma_merge_sweep,
     soundness_sweep,
     tightness_report,
-    write_csv,
 )
 from .identities import grid_failures, run_identity_grid
 from .spectral import PowerIterationError, RootFindingError, spectral_radius
@@ -45,17 +45,13 @@ EXIT_CAPPED = 4
 
 
 def _parse_graph_text(text: str) -> Graph:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
+    tokens = text.split(maxsplit=1)
+    if not tokens:
         raise Graph6Error("no graph on input", 0)
-    if len(lines) == 1 and len(lines[0].split()) == 1:
-        try:
-            return parse_graph6(lines[0])
-        except Graph6Error:
-            # a lone integer is also a valid edge-list header (edgeless graph)
-            if lines[0].strip().isdigit():
-                return parse_edge_list(text)
-            raise
+    # a lone token is graph6 unless it is all digits, which no graph6 string
+    # is: a lone integer is an edge-list header (an edgeless graph)
+    if len(tokens) == 1 and not tokens[0].isdigit():
+        return parse_graph6(tokens[0])
     return parse_edge_list(text)
 
 
@@ -88,14 +84,29 @@ def _print_graph(g: Graph, fmt: str) -> None:
 
 def _check_out(path: str) -> None:
     """Refuse an --out path that open() would reject, before the campaign
-    that fills it runs."""
+    that fills it runs; a probe that fails (a name too long to stat) is the
+    same refusal."""
     target = Path(path)
-    if (
-        target.is_dir()
-        or not target.parent.is_dir()
-        or not os.access(target if target.exists() else target.parent, os.W_OK)
-    ):
+    try:
+        writable = (
+            not target.is_dir()
+            and target.parent.is_dir()
+            and os.access(target if target.exists() else target.parent, os.W_OK)
+        )
+    except OSError:
+        writable = False
+    if not writable:
         raise ValueError(f"cannot write --out {path}")
+
+
+def _write_out(path: str, lines: Iterable[str]) -> None:
+    """Write each line to --out; a failed write (a full disk) is a usage error."""
+    try:
+        with open(path, "w") as fh:
+            for line in lines:
+                fh.write(line + "\n")
+    except OSError as exc:
+        raise ValueError(f"cannot write --out {path}: {exc.strerror}") from None
 
 
 def _int_list(text: str) -> list[int]:
@@ -262,7 +273,7 @@ def _cmd_sweep(args) -> int:
         which=args.which,
         jobs=args.jobs,
     )
-    write_csv(report, args.out)
+    _write_out(args.out, csv_lines(report))
     print(
         f"rows={len(report.rows)} counterexamples={len(report.counterexamples)} "
         f"unknowns={report.findings['unknown_rows']} "
@@ -278,9 +289,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_report(args) -> int:
     _check_out(args.out)
     report = tightness_report(args.n, args.delta)
-    with open(args.out, "w") as fh:
-        json.dump(report.to_json_dict(), fh, indent=2)
-        fh.write("\n")
+    _write_out(args.out, [json.dumps(report.to_json_dict(), indent=2)])
     checks = report.findings["checks"]
     print(
         f"checks_passed={sum(checks.values())}/{len(checks)} "
@@ -321,7 +330,8 @@ def main(argv: list[str] | None = None) -> int:
     except (PowerIterationError, RootFindingError) as exc:
         print(f"numeric-error: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
+        # an OverflowError is a parameter too large for a float or a shift
         print(f"usage-error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError:

@@ -40,21 +40,14 @@ def _parse_header(data: bytes) -> tuple[int, int]:
         raise Graph6Error("empty input", 0)
     if data[0] != 126:
         return data[0] - 63, 1
-    if len(data) < 2:
-        raise Graph6Error("truncated size header", 1)
-    if data[1] != 126:
-        if len(data) < 4:
-            raise Graph6Error("truncated size header", len(data))
-        n = 0
-        for i in range(1, 4):
-            n = n << 6 | (data[i] - 63)
-        return n, 4
-    if len(data) < 8:
+    # "~" then three 6-bit groups, or "~~" then six
+    first, end = (2, 8) if data[1:2] == b"~" else (1, 4)
+    if len(data) < end:
         raise Graph6Error("truncated size header", len(data))
     n = 0
-    for i in range(2, 8):
+    for i in range(first, end):
         n = n << 6 | (data[i] - 63)
-    return n, 8
+    return n, end
 
 
 def write_graph6(g: Graph) -> str:
@@ -89,8 +82,6 @@ def parse_graph6(text: str) -> Graph:
         if not 63 <= b <= 126:
             raise Graph6Error(f"byte {b} outside the graph6 range 63..126", i)
     n, start = _parse_header(data)
-    if n > _MAX_N:
-        raise Graph6Error(f"order {n} exceeds the graph6 cap", 0)
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
     if len(data) - start < nbytes:

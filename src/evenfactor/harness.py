@@ -93,12 +93,6 @@ def csv_lines(report: SweepReport) -> Iterator[str]:
         yield ",".join(_csv_cell(row.get(col)) for col in CSV_COLUMNS)
 
 
-def write_csv(report: SweepReport, path: str) -> None:
-    with open(path, "w") as fh:
-        for line in csv_lines(report):
-            fh.write(line + "\n")
-
-
 def _row(
     campaign: str,
     seed: int,

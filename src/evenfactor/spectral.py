@@ -263,14 +263,16 @@ def largest_real_root(p: CubicPoly, lower_bound: float) -> float:
     descends monotonically onto the largest root; a short bisection polish
     pins it down.  The largest root must be simple, as it is for every
     irreducible quotient matrix; fails if p does not change sign just below
-    the Newton estimate, or if the root found lies below `lower_bound`.
+    the Newton estimate, if the root found lies below `lower_bound`, or if
+    a value is not finite (coefficients past the float range).
     """
     start = 1.0 + max(abs(p.c2), abs(p.c1), abs(p.c0))
     x = max(float(lower_bound), start) + 1.0
     for _ in range(200):
         fx = p(x)
         dfx = p.deriv(x)
-        if dfx <= 0:
+        # each check is written so that a NaN fails it
+        if not dfx > 0:
             break
         step = fx / dfx
         x -= step
@@ -280,7 +282,7 @@ def largest_real_root(p: CubicPoly, lower_bound: float) -> float:
     # p(x) >= 0 up to roundoff
     hi = x + max(ROOT_TOL, 64 * abs(x) * 2.2e-16)
     lo = x - max(ROOT_TOL, 64 * abs(x) * 2.2e-16)
-    if p(lo) > 0:
+    if not p(lo) <= 0:
         raise RootFindingError("could not bracket a real root from above")
     for _ in range(200):
         if hi - lo <= ROOT_TOL / 2:
@@ -291,7 +293,7 @@ def largest_real_root(p: CubicPoly, lower_bound: float) -> float:
         else:
             lo = mid
     root = (lo + hi) / 2
-    if root < lower_bound - 1e-9:
+    if not root >= lower_bound - 1e-9:
         raise RootFindingError(
             f"largest real root {root} lies below the required bound {lower_bound}"
         )

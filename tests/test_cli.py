@@ -317,6 +317,31 @@ def test_threshold_error_leaves_stdout_empty(capsys):
     assert (code, out) == (0, "28\n")
 
 
+def test_threshold_past_the_float_range_is_a_numeric_error(capsys):
+    # the root finder meets a NaN there; no command prints nan
+    code, out, err = run(capsys, ["threshold", "--n", str(10**103), "--delta", "2", "--rho"])
+    assert (code, out) == (1, "")
+    assert err.startswith("numeric-error: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["threshold", "--n", str(10**400), "--delta", "2"],
+        ["gen", "extremal", "--n", str(10**20), "--delta", "2"],
+        ["gen", "family", "--s", "2", "--parts", str(10**20)],
+    ],
+    ids=["float", "extremal", "family"],
+)
+def test_integer_too_large_is_a_usage_error(capsys, argv):
+    # past a float or a shift, refused before anything is allocated
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage-error: ")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -463,11 +488,14 @@ def test_report_tightness(capsys, tmp_path):
         (["report", "tightness", "--n", "8", "--delta", "2"], "tightness_report"),
     ],
 )
-@pytest.mark.parametrize("target", ["missing/x.out", "."])
+@pytest.mark.parametrize(
+    "target", ["missing/x.out", ".", "x" * 300], ids=lambda t: t if len(t) < 80 else "long-name"
+)
 def test_unwritable_out_exits_2_before_the_campaign(
     capsys, monkeypatch, tmp_path, argv, campaign, target
 ):
-    # a missing directory, then a directory in place of the file
+    # a missing directory, a directory in place of the file, and a name too
+    # long to stat
     def campaign_must_not_run(*args, **kwargs):
         raise AssertionError("the campaign ran before --out was checked")
 
@@ -477,6 +505,22 @@ def test_unwritable_out_exits_2_before_the_campaign(
     assert err.startswith("usage-error: cannot write --out ")
     assert err.count("\n") == 1
     assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "soundness", "--n", "8", "--delta", "2", "--samples", "5"],
+        ["report", "tightness", "--n", "8", "--delta", "2"],
+    ],
+)
+def test_out_that_fails_at_write_time_exits_2(capsys, argv):
+    # /dev/full passes the check before the campaign; the write itself fails
+    code, out, err = run(capsys, [*argv, "--out", "/dev/full"])
+    assert (code, out) == (2, "")
+    assert err.startswith("usage-error: cannot write --out /dev/full: ")
+    assert err.count("\n") == 1
 
 
 def test_parser_is_built_once_per_process(capsys, monkeypatch):

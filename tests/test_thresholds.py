@@ -6,7 +6,7 @@ import pytest
 
 from evenfactor.graphs import build_family, complete, cycle, disjoint_union, extremal, FamilySpec
 from evenfactor.rng import SplitMix64
-from evenfactor.spectral import spectral_radius
+from evenfactor.spectral import RootFindingError, spectral_radius
 from evenfactor.thresholds import (
     EXTREMAL_EXCEPTION,
     GUARANTEED_BY_EDGES,
@@ -72,6 +72,22 @@ def test_spectral_threshold_returns_up_to_huge_n():
                 assert math.isfinite(root) and root >= n - d
     for n, d in ((10**12, 2), (10**12, 3), (10**12, 5 * 10**11)):
         assert spectral_threshold(n, d) >= n - d
+
+
+def test_spectral_threshold_past_the_float_range_raises():
+    # Newton overflows to inf and then NaN there; a NaN fails every check of
+    # the root finder, so it raises instead of returning nan
+    for n, d in ((10**103, 2), (10**35, 10**35 // 4)):
+        with pytest.raises(RootFindingError):
+            spectral_threshold(n, d)
+    for k in range(1, 120):
+        n = 10**k
+        for d in (2, 3, n // 4, n // 2):
+            if n - 2 * d + 1 >= 1:
+                try:
+                    assert math.isfinite(spectral_threshold(n, d))
+                except (RootFindingError, OverflowError):
+                    pass
 
 
 def test_spectral_threshold_exceeds_clique_radius():
