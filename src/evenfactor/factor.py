@@ -104,9 +104,7 @@ def cycle_space_basis(g: Graph) -> list[frozenset[Edge]]:
     """Fundamental cycles of a spanning forest: a basis of the cycle space,
     m - n + c elements, every one with all vertex degrees even."""
     edges, basis = _spanning_forest_chords(g)
-    return [
-        frozenset(edges[i] for i in mask_vertices(mask)) for mask in basis
-    ]
+    return [frozenset(_edge_mask_to_cert(mask, edges)) for mask in basis]
 
 
 def _edge_mask_to_cert(mask: int, edges: list[Edge]) -> tuple[Edge, ...]:

@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import isfinite
 from typing import Iterable
 
-from .graphs import build_family, merged_family
+from .graphs import build_family, extremal, merged_family
 from .spectral import char_poly, split_quotient
 from .thresholds import edge_route_floor, spectral_route_floor, spectral_threshold
 
@@ -388,7 +388,7 @@ def grid_row(n: int, delta: int) -> list[IdentityCheck]:
     the row; each cell builds its merged-core family and cubic once, and the
     small-cliques family's edge surplus and cubic once where that family
     exists.  Raises ValueError when the extremal family does not exist."""
-    e_star = build_family(merged_family(n, delta, delta, 1)).edge_count
+    e_star = extremal(n, delta).edge_count
     p_star = char_poly(split_quotient(n, delta, 1))
     theta = spectral_threshold(n, delta)
     root_residual = abs(p_star(theta))

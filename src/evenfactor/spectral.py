@@ -261,14 +261,20 @@ def largest_real_root(p: CubicPoly, lower_bound: float) -> float:
 
     Newton from a point above every root (where p, p', p'' are all positive)
     descends monotonically onto the largest root; a short bisection polish
-    pins it down.  The largest root must be simple, as it is for every
-    irreducible quotient matrix; fails if p does not change sign just below
-    the Newton estimate, if the root found lies below `lower_bound`, or if
-    a value is not finite (coefficients past the float range).
+    on the bracket x +/- half, half = max(ROOT_TOL, 64 * |x| * 2.2e-16),
+    pins it down.  Newton stops on a step below max(ROOT_TOL / 4, 4 * |x| *
+    2.2e-16), a few ulps at large |x|, so it ends within 2,000 steps even
+    from a Cauchy bound near 10^60.  The largest root must be simple, as it
+    is for every irreducible quotient matrix; fails if p does not change
+    sign just below the Newton estimate, if the root lies below
+    `lower_bound` by more than half, or if a value is not finite
+    (coefficients past the float range).  A root below the bound by at most
+    half is roundoff in p, and the bound is returned.
     """
+    bound = float(lower_bound)
     start = 1.0 + max(abs(p.c2), abs(p.c1), abs(p.c0))
-    x = max(float(lower_bound), start) + 1.0
-    for _ in range(200):
+    x = max(bound, start) + 1.0
+    for _ in range(2000):
         fx = p(x)
         dfx = p.deriv(x)
         # each check is written so that a NaN fails it
@@ -276,12 +282,13 @@ def largest_real_root(p: CubicPoly, lower_bound: float) -> float:
             break
         step = fx / dfx
         x -= step
-        if abs(step) < ROOT_TOL / 4:
+        if abs(step) < max(ROOT_TOL / 4, 4 * abs(x) * 2.2e-16):
             break
     # bracket around the Newton estimate and bisect; Newton-from-above leaves
     # p(x) >= 0 up to roundoff
-    hi = x + max(ROOT_TOL, 64 * abs(x) * 2.2e-16)
-    lo = x - max(ROOT_TOL, 64 * abs(x) * 2.2e-16)
+    half = max(ROOT_TOL, 64 * abs(x) * 2.2e-16)
+    hi = x + half
+    lo = x - half
     if not p(lo) <= 0:
         raise RootFindingError("could not bracket a real root from above")
     for _ in range(200):
@@ -293,8 +300,8 @@ def largest_real_root(p: CubicPoly, lower_bound: float) -> float:
         else:
             lo = mid
     root = (lo + hi) / 2
-    if not root >= lower_bound - 1e-9:
+    if not root >= bound - half:
         raise RootFindingError(
             f"largest real root {root} lies below the required bound {lower_bound}"
         )
-    return root
+    return max(root, bound)

@@ -9,7 +9,7 @@ oracle, so "guaranteed" and "true" stay separate observations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, inf, nextafter
 
 from .graphs import Graph
 from .spectral import char_poly, largest_real_root, spectral_radius, split_quotient
@@ -34,9 +34,13 @@ def edge_threshold(n: int, delta: int) -> int:
 def spectral_threshold(n: int, delta: int) -> float:
     """Spectral radius of the extremal graph, as the largest root of the
     quotient characteristic cubic; the float is >= n - delta (the exact root
-    exceeds it, by under one ulp at large n and small delta)."""
+    exceeds it, by under one ulp at large n and small delta), because the
+    root finder's bound is the least float >= n - delta."""
     poly = char_poly(split_quotient(n, delta, 1))
-    return largest_real_root(poly, float(n - delta))
+    bound = float(n - delta)
+    if bound < n - delta:
+        bound = nextafter(bound, inf)
+    return largest_real_root(poly, bound)
 
 
 def meets_spectral(rho: float, rho_thr: float) -> bool:

@@ -307,6 +307,15 @@ def test_numeric_settings_are_not_flags(capsys, command, flags):
     assert not [flag for flag in flags if flag in usage]
 
 
+@pytest.mark.parametrize("delta", ["2", "3"])
+def test_threshold_past_2_53_is_not_below_n_minus_delta(capsys, delta):
+    # n - delta rounds to 9999999999999998.0 for both; the root lies within
+    # roundoff of it and is printed as that float
+    code, out, err = run(capsys, ["threshold", "--n", str(10**16), "--delta", delta])
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1] == "rho 9999999999999998.0000000000"
+
+
 def test_threshold_error_leaves_stdout_empty(capsys):
     # the edge threshold exists at delta = 1, the spectral one does not
     code, out, err = run(capsys, ["threshold", "--n", "8", "--delta", "1"])
@@ -575,6 +584,35 @@ def test_cli_request_leaves_numpy_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == "edges 23"
+
+
+@pytest.mark.parametrize(
+    "module",
+    ["cli", "factor", "graph6", "graphs", "harness", "identities", "rng", "spectral", "thresholds"],
+)
+def test_each_module_imports_alone(module):
+    # a bare package import binds no public name and loads no module, so an
+    # import cycle between the modules cannot hide behind it
+    script = (
+        "import sys\n"
+        "import evenfactor\n"
+        "public = [k for k in vars(evenfactor) if not k.startswith('_')]\n"
+        "assert not public, public\n"
+        f"import evenfactor.{module}\n"
+    )
+    if module == "graphs":
+        script += (
+            "loaded = sorted(m for m in sys.modules if m.startswith('evenfactor.'))\n"
+            "assert loaded == ['evenfactor.graphs'], loaded\n"
+        )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=_subprocess_env(),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_same_argv_same_stdout(capsys):

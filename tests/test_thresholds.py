@@ -90,6 +90,18 @@ def test_spectral_threshold_past_the_float_range_raises():
                     pass
 
 
+def test_spectral_threshold_never_below_n_minus_delta_past_2_53():
+    # past 2^53 float(n - delta) may round down, and p evaluated near the
+    # root is off by several ulps; the root finder's bound is the least
+    # float >= n - delta and a root within roundoff of it is the bound
+    for k in range(1, 31):
+        n = 10**k
+        for d in (2, 3, n // 4, n // 2):
+            if n - 2 * d + 1 >= 1:
+                root = spectral_threshold(n, d)
+                assert math.isfinite(root) and root >= n - d, (k, d, root)
+
+
 def test_spectral_threshold_exceeds_clique_radius():
     for delta in (2, 3, 4, 5):
         for n in range(2 * delta, 50):
