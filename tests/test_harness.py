@@ -26,6 +26,13 @@ def digest(obj) -> str:
     return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
 
 
+def csv_digest(report) -> str:
+    # the CSV text a user sees, columns 1-15 as `cut -d, -f1-15` gives them:
+    # floats at print precision, elapsed_ms dropped
+    text = "".join(",".join(line.split(",")[:15]) + "\n" for line in csv_lines(report))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 class TestLemmaMergeSweep:
     def test_worked_instance(self):
         # merging the split (4,4) into (7,1) gains edges and spectral radius
@@ -84,6 +91,14 @@ class TestLemmaMergeSweep:
         assert rep.findings["instances"] == 824
         assert digest([rows_without_timing(rep), rep.findings, rep.counterexamples]) == (
             "3537c67b99a975729fd0af410e637bd49e9cea239737be83ae8599bda7414d97"
+        )
+
+    def test_csv_text_is_pinned(self):
+        # what `verify lemmas --max-n 14 --max-s 4 --p 1,2` writes; a change
+        # to the radii below print precision must not move it
+        rep = lemma_merge_sweep(14, 4, [1, 2])
+        assert csv_digest(rep) == (
+            "100686cf9b90c7a2a74c5acd52785ecb9bb41809806f799f332f639951c31425"
         )
 
     def test_rows_recompute_from_graph6(self):
@@ -195,6 +210,22 @@ class TestSoundnessSweep:
         rep = soundness_sweep(ns=ns, delta=delta, samples=100, seed=11, which=which)
         assert len(rep.rows) == 100 * len(ns)
         assert digest(rows_without_timing(rep)) == expected
+
+    @pytest.mark.parametrize(
+        "which, ns, delta, expected",
+        [
+            ("edges", [8, 10], 2, "1eb536c448436bea83db4e4f65876f2575152df7529e34a5307a1435cda1b4f1"),
+            ("edges", [14], 3, "1f567a6cbcebb142fde15dc6f560023759e23fa651c5af9584b3ca22474aeaa9"),
+            ("spectral", [8, 10], 2, "d628c04e2ff3b1b9740516250f66d053e86ff797a2d37efd0306f41ed3f71400"),
+            ("spectral", [14], 3, "eba07aabc4e96a6e559a9e29f9f4e23c193d9cab85bbe6365b21fc4fb5b8b716"),
+        ],
+        ids=["edges-8,10", "edges-14", "spectral-8,10", "spectral-14"],
+    )
+    def test_csv_text_is_pinned(self, which, ns, delta, expected):
+        # the rows of test_rows_are_pinned as CSV text; a change to the radii
+        # below print precision must not move it
+        rep = soundness_sweep(ns=ns, delta=delta, samples=100, seed=11, which=which)
+        assert csv_digest(rep) == expected
 
     @pytest.mark.parametrize(
         "budget, which, ns, delta, failures, expected",

@@ -169,6 +169,15 @@ def test_power_iteration_output_is_pinned():
     )
 
 
+def test_printed_radii_are_pinned():
+    # the `rho` line `evenfactor spectral` prints for each pinned graph; a
+    # change to the radii below print precision must not move it
+    lines = "".join(f"rho {spectral_radius(g).rho:.12f}\n" for g in pinned_graphs())
+    assert hashlib.sha256(lines.encode()).hexdigest() == (
+        "274a3fbd82bbc7781a404544cfa56f02d1bbc5d840156aebd06ed9ca6196d2d7"
+    )
+
+
 def mixed_graphs(seed, count):
     """Random graphs of mixed orders; a quarter are disjoint unions of a few
     small parts, so equal-order components of one graph share a stack."""
