@@ -34,7 +34,7 @@ from .harness import (
     tightness_report,
 )
 from .identities import grid_failures, run_identity_grid
-from .spectral import PowerIterationError, RootFindingError, spectral_radius
+from .spectral import EigensolverError, RootFindingError, spectral_radius
 from .thresholds import edge_threshold, spectral_threshold, verdict
 
 EXIT_OK = 0
@@ -327,7 +327,7 @@ def main(argv: list[str] | None = None) -> int:
     except GraphParseError as exc:
         print(f"parse-error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (PowerIterationError, RootFindingError) as exc:
+    except (EigensolverError, RootFindingError) as exc:
         print(f"numeric-error: {exc}", file=sys.stderr)
         return EXIT_FAIL
     except (ValueError, OverflowError) as exc:

@@ -2,48 +2,38 @@
 split family K_s v (K_{n-s-q(s-1)} u (s-1)K_q), with its exact integer
 characteristic cubic.
 
-Power iteration runs on A + I throughout: the shift keeps the Perron vector,
-moves every eigenvalue up by one, and removes the +/- oscillation that stalls
-convergence on bipartite-like graphs.  The reported residual ||Av - rho*v||_inf
-is identical to the shifted residual, so the guarantee is stated for A itself.
+rho(G) is the top eigenvalue of the adjacency matrix A from one LAPACK
+symmetric eigensolve (`numpy.linalg.eigh`) of the whole matrix; for a
+disconnected graph that is already the largest radius of its components.
+The residual ||Av - rho*v||_inf is that of the returned unit eigenvector v.
 
-`spectral_radii` iterates the connected blocks of many graphs at once: the
-blocks of one order are unpacked from the adjacency bitmasks into (B, k, k)
-stacks of A + I and iterated together, each block with the same
-floating-point operations it would get alone, so the results are bit for bit
-those of `spectral_radius`.  A connected graph's rows are its masks; only a
-component of a disconnected graph is relabelled.  numpy is imported inside
-the functions that use it, so importing this module (and the CLI) does not
-load it.
+`spectral_radii` stacks the graphs of one order, unpacked from the adjacency
+bitmasks, into (B, n, n) arrays and solves each stack in one `eigh` call,
+which solves each matrix as it would alone, so the results are bit for bit
+those of `spectral_radius`.  numpy is imported inside the functions that use
+it, so importing this module (and the CLI) does not load it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
-from .graphs import Graph, mask_vertices
+from .graphs import Graph
 
 if TYPE_CHECKING:
     import numpy as np
 
 ROOT_TOL = 1e-12
-# power iteration stops at residual POWER_TOL, and fails past POWER_MAX_ITER
-POWER_TOL = 1e-10
-POWER_MAX_ITER = 10**6
 
-# the most bytes of float64 matrices one stack of blocks holds, so that the
-# matrices in memory at once stay bounded however many graphs a campaign
-# passes (the merge-lemma sweep's order-14 blocks alone would take 510 KiB)
+# the most bytes of float64 matrices one stack holds, so that the matrices
+# in memory at once stay bounded however many graphs a campaign passes (the
+# merge-lemma sweep's order-14 graphs alone would take 510 KiB)
 STACK_BYTES = 1 << 17
 
 
-class PowerIterationError(RuntimeError):
-    def __init__(self, message: str, estimate: float, residual: float):
-        super().__init__(f"{message} (estimate {estimate}, residual {residual:.3e})")
-        self.estimate = estimate
-        self.residual = residual
+class EigensolverError(ArithmeticError):
+    pass
 
 
 class RootFindingError(ArithmeticError):
@@ -53,155 +43,77 @@ class RootFindingError(ArithmeticError):
 @dataclass(frozen=True)
 class SpectralResult:
     rho: float
-    iterations: int
+    iterations: int  # always 0; `evenfactor spectral` still prints it
     residual: float
 
 
-def _pack_rows(rows: Iterable[int], k: int) -> bytes:
-    """The low k bits of each row as little-endian bytes, ready for
-    `_unpack_rows`."""
-    width = (k + 7) // 8
-    return b"".join(m.to_bytes(width, "little") for m in rows)
+def _packed(g: Graph) -> bytes:
+    """The low n bits of each adjacency row as little-endian bytes."""
+    width = (g.n + 7) // 8
+    return b"".join(m.to_bytes(width, "little") for m in g.adj)
 
 
-def _unpack_rows(packed: bytes, count: int, k: int) -> np.ndarray:
-    """The (count, k) 0/1 float matrix of `count` packed rows, unpacked in
-    one numpy call."""
+def _matrices(packed: bytes, count: int, n: int) -> np.ndarray:
+    """The (count, n, n) 0/1 float stack of the packed rows of `count` graphs
+    of order n, unpacked in one numpy call."""
     import numpy as np
 
-    bits = np.frombuffer(packed, dtype=np.uint8).reshape(count, (k + 7) // 8)
-    return np.unpackbits(bits, axis=1, count=k, bitorder="little").astype(float)
+    bits = np.frombuffer(packed, dtype=np.uint8).reshape(count * n, (n + 7) // 8)
+    rows = np.unpackbits(bits, axis=1, count=n, bitorder="little").astype(float)
+    return rows.reshape(count, n, n)
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
-    return _unpack_rows(_pack_rows(g.adj, g.n), g.n, g.n)
+    return _matrices(_packed(g), 1, g.n)[0]
 
 
-def _shifted_rows(g: Graph, comp: int) -> Iterable[int]:
-    """Rows of A + I restricted to the component `comp`, relabelled 0..k-1.
-    A connected graph's rows are its masks plus the diagonal bit; only a
-    component of a disconnected graph pays for relabelling."""
-    if comp == (1 << g.n) - 1:
-        return (m | 1 << v for v, m in enumerate(g.adj))
-    verts = mask_vertices(comp)
+def _solve_stack(stack: np.ndarray) -> list[SpectralResult]:
+    """The top eigenpair of every matrix of a (B, n, n) stack, from one
+    `eigh` call; a LAPACK failure is an EigensolverError."""
+    import numpy as np
+
+    try:
+        values, vectors = np.linalg.eigh(stack)
+    except np.linalg.LinAlgError as exc:
+        order = stack.shape[1]
+        raise EigensolverError(f"eigensolver failed on order {order}: {exc}") from exc
+    v = vectors[:, :, -1:]
+    residual = np.abs(stack @ v - values[:, -1:, None] * v).max(axis=(1, 2))
     return [
-        sum(1 << j for j, u in enumerate(verts) if (g.adj[v] | 1 << v) >> u & 1)
-        for v in verts
+        SpectralResult(rho=rho, iterations=0, residual=res)
+        for rho, res in zip(values[:, -1].tolist(), residual.tolist())
     ]
 
 
-def _power_iterate(shifted: np.ndarray, tol: float, max_iter: int) -> tuple[float, int, float]:
-    """Power iteration on one connected block of A + I, of order at least 2.
-    Returns the estimate of rho(A), the iterations used and the residual of
-    the last iteration: the converged one, or iteration max_iter, whose
-    residual exceeds tol."""
-    import numpy as np
-
-    k = shifted.shape[0]
-    v = np.full(k, 1.0 / np.sqrt(k))
-    for it in range(1, max_iter + 1):
-        w = shifted @ v
-        lam = float(v @ w)
-        residual = float(np.abs(w - lam * v).max())
-        if residual <= tol:
-            break
-        # exactly what np.linalg.norm computes for a 1-D float vector
-        v = w / math.sqrt(w.dot(w))
-    return lam - 1.0, it, residual
-
-
-def _power_iterate_stack(
-    stack: np.ndarray, tol: float, max_iter: int
-) -> list[tuple[float, int, float]]:
-    """`_power_iterate` on every block of a C-contiguous (B, k, k) stack at
-    once, with the same floating-point operations per block: `stack @ v` is
-    each block's gemv and `v^T @ w` each block's dot.  A converged block
-    rides along masked until the last block converges: it keeps iterating,
-    but its result is written once, when it converges or at max_iter."""
-    import numpy as np
-
-    b, k, _ = stack.shape
-    rho = np.empty(b)
-    residual = np.empty(b)
-    iterations = np.empty(b, dtype=int)
-    live = np.ones(b, dtype=bool)
-    v = np.full((b, k, 1), 1.0 / np.sqrt(k))
-    for it in range(1, max_iter + 1):
-        w = stack @ v
-        lam = v.transpose(0, 2, 1) @ w
-        res = np.abs(w - lam * v).max(axis=(1, 2))
-        done = live & ((res <= tol) | (it == max_iter))
-        if done.any():
-            rho[done] = lam[done, 0, 0] - 1.0
-            residual[done] = res[done]
-            iterations[done] = it
-            live &= ~done
-            if not live.any():
-                break
-        v = w / np.sqrt(w.transpose(0, 2, 1) @ w)
-    return list(zip(rho.tolist(), iterations.tolist(), residual.tolist()))
-
-
 def spectral_radii(graphs: Iterable[Graph]) -> list[SpectralResult]:
-    """`[spectral_radius(g) for g in graphs]`, bit for bit, with the
-    connected blocks of all graphs iterated together.  A 0-vertex graph
+    """`[spectral_radius(g) for g in graphs]`, bit for bit.  A 0-vertex graph
     anywhere in the input is a ValueError, raised as it is read, before any
-    iteration; a block that does not converge raises the PowerIterationError
-    of the first failing block of the first failing graph.  The graphs are
-    read once and not kept: each block's rows of A + I are packed and
-    appended to its order's list as they arrive, and the blocks of one order
-    are then unpacked into (B, k, k) stacks of at most STACK_BYTES.  A stack
-    of a single block runs the 2-D kernel, which is cheaper at B = 1.  A
-    single vertex has rho 0 and needs no iteration, so it joins no stack."""
-    tol, max_iter = POWER_TOL, POWER_MAX_ITER
-    blocks: dict[int, list[bytes]] = {}
-    # per graph, (order, index in that order's list) of each block
-    layouts: list[list[tuple[int, int]]] = []
+    solve.  The graphs are read once and not kept: each graph's packed rows
+    are appended to its order's list as they arrive, and the graphs of one
+    order are then solved in stacks of at most STACK_BYTES."""
+    packed_by_order: dict[int, list[bytes]] = {}
+    # per graph, (order, index in that order's list)
+    slots = []
     for g in graphs:
         if g.n < 1:
             raise ValueError("spectral radius needs at least one vertex")
-        layout = []
-        for comp in g.components():
-            k = comp.bit_count()
-            if k > 1:
-                rows = blocks.setdefault(k, [])
-                layout.append((k, len(rows)))
-                rows.append(_pack_rows(_shifted_rows(g, comp), k))
-        layouts.append(layout)
+        packed = packed_by_order.setdefault(g.n, [])
+        slots.append((g.n, len(packed)))
+        packed.append(_packed(g))
 
-    outcomes: dict[int, list[tuple[float, int, float]]] = {}
-    for k, rows in blocks.items():
-        per_stack = max(1, STACK_BYTES // (8 * k * k))
-        found = outcomes[k] = []
-        for first in range(0, len(rows), per_stack):
-            chunk = rows[first : first + per_stack]
-            stack = _unpack_rows(b"".join(chunk), len(chunk) * k, k)
-            if len(chunk) == 1:
-                found.append(_power_iterate(stack, tol, max_iter))
-            else:
-                found += _power_iterate_stack(stack.reshape(-1, k, k), tol, max_iter)
-
-    results = []
-    for layout in layouts:
-        rho = 0.0
-        iterations = 0
-        residual = 0.0
-        for k, pos in layout:
-            r, it, res = outcomes[k][pos]
-            if res > tol:
-                raise PowerIterationError(
-                    f"no convergence within {max_iter} iterations", r, res
-                )
-            iterations += it
-            residual = max(residual, res)
-            rho = max(rho, r)
-        results.append(SpectralResult(rho=rho, iterations=iterations, residual=residual))
-    return results
+    solved: dict[int, list[SpectralResult]] = {}
+    for n, packed in packed_by_order.items():
+        per_stack = max(1, STACK_BYTES // (8 * n * n))
+        found = solved[n] = []
+        for first in range(0, len(packed), per_stack):
+            chunk = packed[first : first + per_stack]
+            found += _solve_stack(_matrices(b"".join(chunk), len(chunk), n))
+    return [solved[n][i] for n, i in slots]
 
 
 def spectral_radius(g: Graph) -> SpectralResult:
     """Largest adjacency eigenvalue; the maximum over components when
-    disconnected.  Deterministic: the start vector is all-ones."""
+    disconnected."""
     return spectral_radii([g])[0]
 
 

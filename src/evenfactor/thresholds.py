@@ -20,7 +20,8 @@ EXTREMAL_EXCEPTION = "extremal_exception"
 NO_GUARANTEE = "no_guarantee"
 
 # equality at the spectral threshold only happens for the extremal graph
-# itself; the tolerance absorbs the power-iteration and root-finder error
+# itself; the tolerance absorbs the eigensolver's rounding (about 1e-13 at
+# the campaigns' orders) and the root finder's ROOT_TOL of 1e-12
 RHO_EQUALITY_TOL = 1e-8
 
 
@@ -77,7 +78,9 @@ def applicability(n: int, delta: int, theorem: str) -> bool:
 
 
 def recognize_extremal(g: Graph) -> tuple[int, int] | None:
-    """(n, delta) iff g is isomorphic to K_delta v (K_{n-2*delta+1} u (delta-1)K_1).
+    """(n, delta) if g is isomorphic to K_delta v (K_{n-2*delta+1} u (delta-1)K_1)
+    with delta >= 2 and n > 2*delta, else None.  n = 2*delta is excluded on
+    purpose: both route floors lie above it.
 
     That extremal graph is a threshold graph, and a threshold graph is the
     only graph with its degree sequence (Chvatal-Hammer, 1977), so sorted

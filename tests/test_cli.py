@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import evenfactor
-from evenfactor import cli, factor, spectral
+from evenfactor import cli, factor
 from evenfactor.cli import main
 from evenfactor.graph6 import write_graph6
 from evenfactor.graphs import cycle, extremal
@@ -281,15 +281,20 @@ def test_usage_error_exits_2(capsys):
 
 
 @pytest.mark.parametrize("command", [["spectral"], ["verdict"]])
-def test_nonconvergence_is_a_numeric_error(capsys, monkeypatch, command):
-    monkeypatch.setattr(spectral, "POWER_TOL", 1e-15)
-    monkeypatch.setattr(spectral, "POWER_MAX_ITER", 3)
-    code, out, err = run(capsys, [*command, "--graph6", write_graph6(extremal(12, 3))])
+def test_eigensolver_failure_is_a_numeric_error(capsys, monkeypatch, command):
+    # LinAlgError is a ValueError, so uncaught it would exit 2 as a usage error
+    import numpy as np
+
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    code, out, err = run(capsys, [*command, "--graph6", write_graph6(extremal(8, 2))])
     assert code == 1
     assert out == ""
     lines = err.splitlines()
     assert len(lines) == 1
-    assert lines[0].startswith("numeric-error: no convergence within 3 iterations")
+    assert lines[0].startswith("numeric-error: eigensolver failed on order 8: ")
 
 
 @pytest.mark.parametrize(

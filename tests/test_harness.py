@@ -17,6 +17,11 @@ from evenfactor.harness import (
 )
 
 
+# test ids of the pinned soundness cases, route and orders; the digests stay
+# out of the ids, so a re-pin keeps each test's name
+SOUNDNESS_CASES = ["edges-8,10", "edges-14", "spectral-8,10", "spectral-14"]
+
+
 def rows_without_timing(report):
     return [{k: v for k, v in row.items() if k != "elapsed_ms"} for row in report.rows]
 
@@ -90,7 +95,7 @@ class TestLemmaMergeSweep:
         rep = lemma_merge_sweep(14, 4, [1, 2])
         assert rep.findings["instances"] == 824
         assert digest([rows_without_timing(rep), rep.findings, rep.counterexamples]) == (
-            "3537c67b99a975729fd0af410e637bd49e9cea239737be83ae8599bda7414d97"
+            "3e1c3a66dcb8832dac87a65b551afa955b6bd8b563c13ae4fd5e03e6ab96ed64"
         )
 
     def test_csv_text_is_pinned(self):
@@ -199,11 +204,12 @@ class TestSoundnessSweep:
     @pytest.mark.parametrize(
         "which, ns, delta, expected",
         [
-            ("edges", [8, 10], 2, "2ab88a0866522aa7602c039309aeb21de136a66a98363715bf001688635bc014"),
-            ("edges", [14], 3, "e065c8dc628c467b71a492591d653ca36158238b463331dc0dc28d36afd19876"),
-            ("spectral", [8, 10], 2, "7632f47fbd750e81417f8b02c21f8c3e9b13d0263865be458b42690231179cab"),
-            ("spectral", [14], 3, "1f730b14ac62d069d17a659e8c25492df62a970f40f5d7c1d1d7fc15ef0aab42"),
+            ("edges", [8, 10], 2, "781638e24732971a0310d08af0a309e9eb3ef5623e96f9e5993de090f47316d3"),
+            ("edges", [14], 3, "da0c972699bca46cb119c55898644be36c9164e923735c718a8eb7df0c91f45e"),
+            ("spectral", [8, 10], 2, "9e96e34ce1f244ca8c9be5000dc64a897ab7c57394f5051587f54f99a03b79f2"),
+            ("spectral", [14], 3, "79e1bbf546f1a2a0e4d6c07fd74b28f620447c9184bc095f79c193355005b0b3"),
         ],
+        ids=SOUNDNESS_CASES,
     )
     def test_rows_are_pinned(self, which, ns, delta, expected):
         # every column but elapsed_ms, rho to the last bit
@@ -219,7 +225,7 @@ class TestSoundnessSweep:
             ("spectral", [8, 10], 2, "d628c04e2ff3b1b9740516250f66d053e86ff797a2d37efd0306f41ed3f71400"),
             ("spectral", [14], 3, "eba07aabc4e96a6e559a9e29f9f4e23c193d9cab85bbe6365b21fc4fb5b8b716"),
         ],
-        ids=["edges-8,10", "edges-14", "spectral-8,10", "spectral-14"],
+        ids=SOUNDNESS_CASES,
     )
     def test_csv_text_is_pinned(self, which, ns, delta, expected):
         # the rows of test_rows_are_pinned as CSV text; a change to the radii
@@ -232,15 +238,16 @@ class TestSoundnessSweep:
         [
             # every edge-route draw passes the filter here, so its rows equal
             # the budget-500 pins
-            (1, "edges", [8, 10], 2, 0, "2ab88a0866522aa7602c039309aeb21de136a66a98363715bf001688635bc014"),
-            (1, "edges", [14], 3, 0, "e065c8dc628c467b71a492591d653ca36158238b463331dc0dc28d36afd19876"),
-            (1, "spectral", [8, 10], 2, 52, "9ff9b81bd6d36eb2c7457a4ffe695b697db0d9175a7df305da861be38ec5839a"),
-            (1, "spectral", [14], 3, 29, "522c2ec74711e934957f238db8bb9315e2048ace6a5662e5a2eb7fabb8f8d5d9"),
-            (2, "edges", [8, 10], 2, 0, "2ab88a0866522aa7602c039309aeb21de136a66a98363715bf001688635bc014"),
-            (2, "edges", [14], 3, 0, "e065c8dc628c467b71a492591d653ca36158238b463331dc0dc28d36afd19876"),
-            (2, "spectral", [8, 10], 2, 10, "a50c3e7a3f1a4bb546d2826b8bea9e87a361e48af91ab15702faaad3dbc37ea2"),
-            (2, "spectral", [14], 3, 7, "119a7ce34ffa31958d06f2ca9b2e343d33e33067618e7146ca333654623a67f0"),
+            (1, "edges", [8, 10], 2, 0, "781638e24732971a0310d08af0a309e9eb3ef5623e96f9e5993de090f47316d3"),
+            (1, "edges", [14], 3, 0, "da0c972699bca46cb119c55898644be36c9164e923735c718a8eb7df0c91f45e"),
+            (1, "spectral", [8, 10], 2, 52, "98fe860a530a0915a8364b65da552f92cb06f6458ef70866463196f396731392"),
+            (1, "spectral", [14], 3, 29, "76a77fa623e682be32e741b191a52054a1a4b5dab85a7d6d4b049b3ccee43c65"),
+            (2, "edges", [8, 10], 2, 0, "781638e24732971a0310d08af0a309e9eb3ef5623e96f9e5993de090f47316d3"),
+            (2, "edges", [14], 3, 0, "da0c972699bca46cb119c55898644be36c9164e923735c718a8eb7df0c91f45e"),
+            (2, "spectral", [8, 10], 2, 10, "e91d7e8fc412f06fec4b212f702e7019df12d006ea937f29c798591c4ad0f111"),
+            (2, "spectral", [14], 3, 7, "dfa97ca95dc2e628161ce5affe9ebe46feccd24ec1441d9456d2d73c823128f5"),
         ],
+        ids=[f"budget{b}-{case}" for b in (1, 2) for case in SOUNDNESS_CASES],
     )
     def test_sampler_failures_are_pinned(
         self, monkeypatch, budget, which, ns, delta, failures, expected
@@ -254,7 +261,7 @@ class TestSoundnessSweep:
         assert digest(rows_without_timing(rep)) == expected
 
     def test_spectral_route_batches_its_radii(self, monkeypatch):
-        # one spectral_radii call per sampling round, not one power iteration
+        # one spectral_radii call per sampling round, not one radius call
         # per draw: each round draws one graph per sample still open
         calls = []
         real = harness.spectral_radii

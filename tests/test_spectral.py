@@ -1,5 +1,5 @@
 import hashlib
-from math import comb
+from math import comb, cos, pi, sqrt
 
 import numpy as np
 import pytest
@@ -18,7 +18,6 @@ from evenfactor.graphs import (
 from evenfactor.rng import SplitMix64, complete_minus_random_edges
 from evenfactor.spectral import (
     CubicPoly,
-    PowerIterationError,
     RootFindingError,
     adjacency_matrix,
     char_poly,
@@ -63,7 +62,7 @@ def test_matches_dense_eigensolver():
 
 
 def test_bipartite_graphs_converge():
-    # +/- eigenvalue pairs stall plain power iteration; the A+I shift must not
+    # bipartite spectra come in +/- pairs; the radius is the positive one
     star = build_family(FamilySpec(1, (1,) * 7))
     res = spectral_radius(star)
     assert res.rho == pytest.approx(np.sqrt(7), abs=1e-9)
@@ -94,38 +93,41 @@ def test_empty_rejected():
         spectral_radius(complete(0))
 
 
-def set_power(monkeypatch, tol, max_iter):
-    monkeypatch.setattr(spectral, "POWER_TOL", tol)
-    monkeypatch.setattr(spectral, "POWER_MAX_ITER", max_iter)
+def complete_bipartite(a, b):
+    return Graph.from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
 
 
-def test_nonconvergence_is_explicit(monkeypatch):
-    set_power(monkeypatch, 1e-15, 3)
-    with pytest.raises(PowerIterationError, match="no convergence within 3 iterations") as exc:
-        spectral_radius(extremal(12, 3))
-    assert exc.value.residual > 0
+PETERSEN = Graph.from_edges(
+    10,
+    [(i, (i + 1) % 5) for i in range(5)]
+    + [(i, i + 5) for i in range(5)]
+    + [(5 + i, 5 + (i + 2) % 5) for i in range(5)],
+)
 
 
-def test_nonconvergence_reports_the_last_iterate(monkeypatch):
-    # the error carries the estimate and residual of iteration max_iter,
-    # computed here by plain numpy power iteration on A + I
-    set_power(monkeypatch, 1e-15, 3)
-    g = extremal(12, 3)
-    shifted = adjacency_matrix(g) + np.eye(g.n)
-    v = np.ones(g.n) / np.sqrt(g.n)
-    for _ in range(3):
-        w = shifted @ v
-        lam = float(v @ w)
-        residual = float(np.abs(w - lam * v).max())
-        v = w / np.linalg.norm(w)
-    want = ((lam - 1.0).hex(), residual.hex())
-    with pytest.raises(PowerIterationError) as exc:
-        spectral_radius(g)
-    assert (exc.value.estimate.hex(), exc.value.residual.hex()) == want
-    # second in a stack of three order-12 blocks; K_12 converges at once
-    with pytest.raises(PowerIterationError) as exc:
-        spectral_radii([complete(12), g, cycle(12)])
-    assert (exc.value.estimate.hex(), exc.value.residual.hex()) == want
+@pytest.mark.parametrize(
+    "graphs, exact",
+    [
+        pytest.param(
+            [path(n) for n in range(1, 201)],
+            [2 * cos(pi / (n + 1)) for n in range(1, 201)],
+            id="paths",
+        ),
+        pytest.param([cycle(9), cycle(24)], [2.0, 2.0], id="cycles"),
+        pytest.param([complete_bipartite(1, 7)], [sqrt(7)], id="star"),
+        pytest.param([complete_bipartite(3, 5)], [sqrt(15)], id="bipartite"),
+        pytest.param([complete(2), complete(13)], [1.0, 12.0], id="complete"),
+        pytest.param([PETERSEN], [3.0], id="petersen"),
+        pytest.param(
+            [disjoint_union([cycle(5), complete(4), path(3)])], [3.0], id="disjoint-union"
+        ),
+    ],
+)
+def test_closed_form_radii(graphs, exact):
+    # radii known in closed form, to 1e-12 with a residual to match
+    for r, want in zip(spectral_radii(graphs), exact, strict=True):
+        assert abs(r.rho - want) <= 1e-12
+        assert r.residual <= 1e-12
 
 
 def test_adjacency_matrix_from_bitmasks():
@@ -155,9 +157,9 @@ def bits(r):
     return (r.rho.hex(), r.iterations, r.residual.hex())
 
 
-def test_power_iteration_output_is_pinned():
+def test_spectral_output_is_pinned():
     # every bit of (rho, iterations, residual) on the pinned graphs; any
-    # change to the iteration's floating-point operations or their order
+    # change to the solver's floating-point operations or their order
     # moves this hash
     graphs = pinned_graphs()
     lines = "".join(
@@ -165,7 +167,7 @@ def test_power_iteration_output_is_pinned():
     )
     assert len(graphs) == 215
     assert hashlib.sha256(lines.encode()).hexdigest() == (
-        "1c1417f4a81932d88e746bdbfb0eecdfdbefc809ba83d6918c7dbb4659c7a66d"
+        "b0c47f5701cfacfc631e5e70c6094e14c4e8fb2354596f2c9b16e45b777b023c"
     )
 
 
@@ -201,7 +203,7 @@ def first_error(graphs):
     for g in graphs:
         try:
             spectral_radius(g)
-        except (PowerIterationError, ValueError) as exc:
+        except ValueError as exc:
             return exc
     return None
 
@@ -212,9 +214,6 @@ def assert_same_error(graphs):
     with pytest.raises(type(expected)) as exc:
         spectral_radii(graphs)
     assert str(exc.value) == str(expected)
-    if isinstance(expected, PowerIterationError):
-        assert exc.value.estimate.hex() == expected.estimate.hex()
-        assert exc.value.residual.hex() == expected.residual.hex()
 
 
 class TestSpectralRadii:
@@ -224,18 +223,16 @@ class TestSpectralRadii:
             bits(spectral_radius(g)) for g in graphs
         ]
 
-    def test_mixed_orders_bitwise(self, monkeypatch):
+    def test_mixed_orders_bitwise(self):
         graphs = mixed_graphs(31, 300)
         # the draws do exercise stacks of several same-order components
         assert any(
             len({c.bit_count() for c in g.components()}) < len(g.components())
             for g in graphs
         )
-        for tol, max_iter in ((spectral.POWER_TOL, spectral.POWER_MAX_ITER), (1e-6, 500)):
-            set_power(monkeypatch, tol, max_iter)
-            assert list(map(bits, spectral_radii(graphs))) == [
-                bits(spectral_radius(g)) for g in graphs
-            ]
+        assert list(map(bits, spectral_radii(graphs))) == [
+            bits(spectral_radius(g)) for g in graphs
+        ]
         # the graphs are read once, so a generator will do
         assert spectral_radii(g for g in graphs) == spectral_radii(graphs)
 
@@ -248,23 +245,21 @@ class TestSpectralRadii:
         assert list(map(bits, spectral_radii(graphs))) == expected
 
     def test_converged_blocks_ride_along_masked(self, monkeypatch):
-        # one order-12 stack: K_12 converges at once, between and after
-        # blocks that need 124, 65 and 186 iterations; each block's result
-        # is still its solo one
+        # five order-12 graphs, one stack, one solve; each graph's result is
+        # still its solo one
         tail = [(i, i + 1) for i in range(3, 11)]
         lollipop = Graph.from_edges(12, [(i, j) for i in range(4) for j in range(i)] + tail)
         tadpole = Graph.from_edges(12, [(0, 1), (1, 2), (2, 0), (2, 3)] + tail)
         graphs = [path(12), complete(12), lollipop, tadpole, complete(12)]
         solo = [spectral_radius(g) for g in graphs]
-        assert [r.iterations for r in solo] == [124, 1, 65, 186, 1]
         shapes = []
-        kernel = spectral._power_iterate_stack
+        kernel = spectral._solve_stack
 
-        def spy(stack, tol, max_iter):
+        def spy(stack):
             shapes.append(stack.shape)
-            return kernel(stack, tol, max_iter)
+            return kernel(stack)
 
-        monkeypatch.setattr(spectral, "_power_iterate_stack", spy)
+        monkeypatch.setattr(spectral, "_solve_stack", spy)
         monkeypatch.setattr(spectral, "STACK_BYTES", len(graphs) * 8 * 12 * 12)
         assert list(map(bits, spectral_radii(graphs))) == list(map(bits, solo))
         assert shapes == [(5, 12, 12)]
@@ -276,44 +271,11 @@ class TestSpectralRadii:
     def test_empty_list(self):
         assert spectral_radii([]) == []
 
-    def test_nonconvergence_names_first_failing_block(self, monkeypatch):
-        # graph 1 fails first, in its second component (a path on 14
-        # vertices).  Its third component, a path on 16 vertices, fails too
-        # and shares a stack with graph 0's K_16, which comes first; graphs 2
-        # and 3 fail as well.  A wrong pick shows in the estimate.
-        graphs = [
-            complete(16),
-            disjoint_union([complete(3), path(14), path(16)]),
-            path(14),
-            path(20),
-        ]
-        set_power(monkeypatch, 1e-13, 200)
-        assert_same_error(graphs)
-        with pytest.raises(PowerIterationError) as exc:
-            spectral_radii(graphs)
-        assert exc.value.estimate == first_error([path(14)]).estimate
-
-    def test_nonconvergence_on_random_graphs(self, monkeypatch):
-        # sparse draws on up to 29 vertices, many of them disconnected; 5 to
-        # 14 of each 60 fail to converge within 100 iterations
-        from evenfactor.rng import random_graph_with_edges
-
-        set_power(monkeypatch, 1e-13, 100)
-        for seed in (1, 2, 3):
-            rng = SplitMix64(seed)
-            graphs = []
-            for _ in range(60):
-                n = 2 + rng.randrange(28)
-                m = rng.randrange(min(2 * n, comb(n, 2) + 1))
-                graphs.append(random_graph_with_edges(n, m, rng))
-            assert_same_error(graphs)
-
-    def test_zero_vertex_graph_errors_match(self, monkeypatch):
+    def test_zero_vertex_graph_errors_match(self):
         assert_same_error([complete(0), complete(3)])
         assert_same_error([cycle(5), complete(0), path(4)])
-        # the empty graph is caught as it is read, before any iteration, so
-        # it raises even after a graph that would fail to converge
-        set_power(monkeypatch, 1e-13, 200)
+        # the empty graph is caught as it is read, before any solve, so it
+        # raises even after a graph that comes first
         with pytest.raises(ValueError, match="spectral radius needs at least one vertex"):
             spectral_radii([path(20), complete(0)])
 
