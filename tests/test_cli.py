@@ -38,6 +38,16 @@ def test_threshold_rho(capsys):
     assert out.strip().startswith("6.0969240956")
 
 
+@pytest.mark.parametrize(
+    "n, delta, printed",
+    # the roots are 67.798636402650115... and 97.215924955450148...
+    [("88", "23", "67.7986364027"), ("110", "13", "97.2159249555")],
+)
+def test_threshold_rho_rounds_the_tenth_decimal(capsys, n, delta, printed):
+    code, out, _ = run(capsys, ["threshold", "--n", n, "--delta", delta, "--rho"])
+    assert (code, out) == (0, printed + "\n")
+
+
 def test_threshold_both(capsys):
     code, out, _ = run(capsys, ["threshold", "--n", "8", "--delta", "2"])
     assert code == 0

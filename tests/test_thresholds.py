@@ -1,12 +1,13 @@
 import hashlib
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
 from evenfactor.graphs import build_family, complete, cycle, disjoint_union, extremal, FamilySpec
 from evenfactor.rng import SplitMix64
-from evenfactor.spectral import RootFindingError, spectral_radius
+from evenfactor.spectral import RootFindingError, char_poly, spectral_radius, split_quotient
 from evenfactor.thresholds import (
     EXTREMAL_EXCEPTION,
     GUARANTEED_BY_EDGES,
@@ -100,6 +101,36 @@ def test_spectral_threshold_never_below_n_minus_delta_past_2_53():
             if n - 2 * d + 1 >= 1:
                 root = spectral_threshold(n, d)
                 assert math.isfinite(root) and root >= n - d, (k, d, root)
+
+
+def _threshold_cases() -> list[tuple[int, int]]:
+    # the pinned domain up to n = 120, 300 random n below 10^12 with the
+    # deltas of test_spectral_threshold_returns_up_to_huge_n, and n = 10^k
+    cases = [(n, d) for n in range(3, 121) for d in range(2, n) if n - 2 * d + 1 >= 1]
+    rng = SplitMix64(14)
+    for _ in range(300):
+        n = 4 + rng.randrange(10**12 - 3)
+        deltas = (2, 3, n // 2, 2 + rng.randrange(n // 2 - 1))
+        cases += [(n, d) for d in deltas if n - 2 * d + 1 >= 1]
+    for k in range(1, 31):
+        n = 10**k
+        cases += [(n, d) for d in (2, 3, n // 4, n // 2) if n - 2 * d + 1 >= 1]
+    return cases
+
+
+def test_spectral_threshold_is_within_one_ulp():
+    # in exact arithmetic the cubic changes sign between the floats next to
+    # the threshold, so the largest root lies within one ulp of it; the
+    # threshold never drops below n - delta
+    cases = _threshold_cases()
+    assert len(cases) == 4801
+    for n, d in cases:
+        x = spectral_threshold(n, d)
+        p = char_poly(split_quotient(n, d, 1))
+        below = Fraction(math.nextafter(x, -math.inf))
+        above = Fraction(math.nextafter(x, math.inf))
+        assert p(below) <= 0 <= p(above), (n, d, x)
+        assert x >= n - d, (n, d, x)
 
 
 def test_spectral_threshold_exceeds_clique_radius():
