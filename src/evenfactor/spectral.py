@@ -16,6 +16,7 @@ it, so importing this module (and the CLI) does not load it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
@@ -23,8 +24,6 @@ from .graphs import Graph
 
 if TYPE_CHECKING:
     import numpy as np
-
-ROOT_TOL = 1e-12
 
 # the most bytes of float64 matrices one stack holds, so that the matrices
 # in memory at once stay bounded however many graphs a campaign passes (the
@@ -169,51 +168,33 @@ def char_poly(rows: tuple[tuple[int, int, int], ...]) -> CubicPoly:
 
 
 def largest_real_root(p: CubicPoly, lower_bound: float) -> float:
-    """Largest real root of a monic cubic, to absolute tolerance `ROOT_TOL`.
+    """Largest real root of a monic cubic, within about one ulp.
 
     Newton from a point above every root (where p, p', p'' are all positive)
-    descends monotonically onto the largest root; a short bisection polish
-    on the bracket x +/- half, half = max(ROOT_TOL, 64 * |x| * 2.2e-16),
-    pins it down.  Newton stops on a step below max(ROOT_TOL / 4, 4 * |x| *
-    2.2e-16), a few ulps at large |x|, so it ends within 2,000 steps even
-    from a Cauchy bound near 10^60.  The largest root must be simple, as it
-    is for every irreducible quotient matrix; fails if p does not change
-    sign just below the Newton estimate, if the root lies below
-    `lower_bound` by more than half, or if a value is not finite
-    (coefficients past the float range).  A root below the bound by at most
-    half is roundoff in p, and the bound is returned.
+    descends monotonically onto the largest root, which must be simple, as
+    it is for every irreducible quotient matrix.  It stops when p' > 0
+    fails, when a step no longer lowers x (roundoff in p has reached the
+    root) or after 2,000 steps, enough even from a Cauchy bound near 10^60.
+    A non-finite p (coefficients past the float range) raises, as does a
+    root below `lower_bound` by more than 64 * |x| * 2.2e-16; a root below
+    the bound by at most that is roundoff in p, and the bound is returned.
     """
     bound = float(lower_bound)
     start = 1.0 + max(abs(p.c2), abs(p.c1), abs(p.c0))
     x = max(bound, start) + 1.0
     for _ in range(2000):
         fx = p(x)
+        if not math.isfinite(fx):
+            raise RootFindingError(f"cubic is not finite at {x}")
         dfx = p.deriv(x)
-        # each check is written so that a NaN fails it
         if not dfx > 0:
             break
-        step = fx / dfx
-        x -= step
-        if abs(step) < max(ROOT_TOL / 4, 4 * abs(x) * 2.2e-16):
+        lower = x - fx / dfx
+        if not lower < x:
             break
-    # bracket around the Newton estimate and bisect; Newton-from-above leaves
-    # p(x) >= 0 up to roundoff
-    half = max(ROOT_TOL, 64 * abs(x) * 2.2e-16)
-    hi = x + half
-    lo = x - half
-    if not p(lo) <= 0:
-        raise RootFindingError("could not bracket a real root from above")
-    for _ in range(200):
-        if hi - lo <= ROOT_TOL / 2:
-            break
-        mid = (lo + hi) / 2
-        if p(mid) > 0:
-            hi = mid
-        else:
-            lo = mid
-    root = (lo + hi) / 2
-    if not root >= bound - half:
+        x = lower
+    if not x >= bound - 64 * abs(x) * 2.2e-16:
         raise RootFindingError(
-            f"largest real root {root} lies below the required bound {lower_bound}"
+            f"largest real root {x} lies below the required bound {lower_bound}"
         )
-    return max(root, bound)
+    return max(x, bound)

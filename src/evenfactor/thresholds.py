@@ -21,7 +21,7 @@ NO_GUARANTEE = "no_guarantee"
 
 # equality at the spectral threshold only happens for the extremal graph
 # itself; the tolerance absorbs the eigensolver's rounding (about 1e-14 at
-# the campaigns' orders) and the root finder's ROOT_TOL of 1e-12
+# the campaigns' orders) and the root finder's, within one ulp of the root
 RHO_EQUALITY_TOL = 1e-8
 
 

@@ -342,7 +342,7 @@ def test_threshold_error_leaves_stdout_empty(capsys):
 
 
 def test_threshold_past_the_float_range_is_a_numeric_error(capsys):
-    # the root finder meets a NaN there; no command prints nan
+    # the cubic is not finite there; no command prints nan
     code, out, err = run(capsys, ["threshold", "--n", str(10**103), "--delta", "2", "--rho"])
     assert (code, out) == (1, "")
     assert err.startswith("numeric-error: ")

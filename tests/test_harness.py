@@ -204,10 +204,10 @@ class TestSoundnessSweep:
     @pytest.mark.parametrize(
         "which, ns, delta, expected",
         [
-            ("edges", [8, 10], 2, "781638e24732971a0310d08af0a309e9eb3ef5623e96f9e5993de090f47316d3"),
-            ("edges", [14], 3, "da0c972699bca46cb119c55898644be36c9164e923735c718a8eb7df0c91f45e"),
-            ("spectral", [8, 10], 2, "9e96e34ce1f244ca8c9be5000dc64a897ab7c57394f5051587f54f99a03b79f2"),
-            ("spectral", [14], 3, "79e1bbf546f1a2a0e4d6c07fd74b28f620447c9184bc095f79c193355005b0b3"),
+            ("edges", [8, 10], 2, "2a43c2da63ab6f99943a0d37a83eecb27c4d51ff0fca6239742257cc8763d044"),
+            ("edges", [14], 3, "25c995f1948e784465672b005f96da6be4d93e6c074aac25f06fdfad8f0ee4ec"),
+            ("spectral", [8, 10], 2, "01ed9fa1152a9be94ff8d9fa7d9f18116b94bc883b834dbdf7c8be6d0fe17d8b"),
+            ("spectral", [14], 3, "259036adb2572bdffccf809ad4bf8b7f50bb52213c66381246e0b47f9f1258fe"),
         ],
         ids=SOUNDNESS_CASES,
     )
@@ -238,14 +238,14 @@ class TestSoundnessSweep:
         [
             # every edge-route draw passes the filter here, so its rows equal
             # the budget-500 pins
-            (1, "edges", [8, 10], 2, 0, "781638e24732971a0310d08af0a309e9eb3ef5623e96f9e5993de090f47316d3"),
-            (1, "edges", [14], 3, 0, "da0c972699bca46cb119c55898644be36c9164e923735c718a8eb7df0c91f45e"),
-            (1, "spectral", [8, 10], 2, 52, "98fe860a530a0915a8364b65da552f92cb06f6458ef70866463196f396731392"),
-            (1, "spectral", [14], 3, 29, "76a77fa623e682be32e741b191a52054a1a4b5dab85a7d6d4b049b3ccee43c65"),
-            (2, "edges", [8, 10], 2, 0, "781638e24732971a0310d08af0a309e9eb3ef5623e96f9e5993de090f47316d3"),
-            (2, "edges", [14], 3, 0, "da0c972699bca46cb119c55898644be36c9164e923735c718a8eb7df0c91f45e"),
-            (2, "spectral", [8, 10], 2, 10, "e91d7e8fc412f06fec4b212f702e7019df12d006ea937f29c798591c4ad0f111"),
-            (2, "spectral", [14], 3, 7, "dfa97ca95dc2e628161ce5affe9ebe46feccd24ec1441d9456d2d73c823128f5"),
+            (1, "edges", [8, 10], 2, 0, "2a43c2da63ab6f99943a0d37a83eecb27c4d51ff0fca6239742257cc8763d044"),
+            (1, "edges", [14], 3, 0, "25c995f1948e784465672b005f96da6be4d93e6c074aac25f06fdfad8f0ee4ec"),
+            (1, "spectral", [8, 10], 2, 52, "795564a401fb6fe441f5dc19be16b2a006ea3e989e69adab05245ee186601ee7"),
+            (1, "spectral", [14], 3, 29, "7a9c6baf302dfc55b3b9f309840d61fc4e3250529c8b951828957cd0ecdbdb12"),
+            (2, "edges", [8, 10], 2, 0, "2a43c2da63ab6f99943a0d37a83eecb27c4d51ff0fca6239742257cc8763d044"),
+            (2, "edges", [14], 3, 0, "25c995f1948e784465672b005f96da6be4d93e6c074aac25f06fdfad8f0ee4ec"),
+            (2, "spectral", [8, 10], 2, 10, "8ce1d00be953fa66f7d8bacbb99378a888bbbc0567f3fc4f8686fc266ff0189c"),
+            (2, "spectral", [14], 3, 7, "fdd5d750326f7fd3c26b269b0f5556dbbd48221a29dd58a55f13b611ad57a957"),
         ],
         ids=[f"budget{b}-{case}" for b in (1, 2) for case in SOUNDNESS_CASES],
     )

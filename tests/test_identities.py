@@ -309,7 +309,7 @@ class TestGrid:
         assert len(small) == 1960
         lines = "".join(json.dumps(c.to_json_dict()) + "\n" for c in small)
         assert hashlib.sha256(lines.encode()).hexdigest() == (
-            "b08b0f0751ffb1ff77a6ce10c95faa91e7e563efb11ca9277f2025adc2047bff"
+            "bcbf810383109632379518a049ed7398310a219808263dd1b602cd7c4018fb3d"
         )
 
     def test_empty_grid_rejected(self):

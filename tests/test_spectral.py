@@ -422,7 +422,7 @@ class TestLargestRealRoot:
         p = CubicPoly(c2=-5, c1=-8, c0=8)
         root = largest_real_root(p, 6.0)
         assert root == pytest.approx(RHO_EXTREMAL_8_2, abs=1e-11)
-        # bisection bracket: sign change inside [6.09, 6.10]
+        # the cubic changes sign inside [6.09, 6.10]
         assert p(6.09) < 0 < p(6.10)
 
     def test_root_below_bound_is_an_error(self):

@@ -56,14 +56,14 @@ def test_spectral_threshold_output_is_pinned():
     )
     assert lines.count("\n") == 3481
     assert hashlib.sha256(lines.encode()).hexdigest() == (
-        "b98b2560e4a087b44721971f4fb42762dbf086df38ef8e58c84c40cc7d78b94c"
+        "f8abd4c04efccb437902f79683e692425ad22122f9d578fc89b23212db51d6dc"
     )
 
 
 def test_spectral_threshold_returns_up_to_huge_n():
-    # the root stays simple and is bracketed from above however large n is;
-    # at large n and small delta its gap to n - delta is below one ulp, so
-    # the bound holds only as >=
+    # the root stays simple and Newton reaches it from above however large
+    # n is; at large n and small delta its gap to n - delta is below one
+    # ulp, so the bound holds only as >=
     rng = SplitMix64(14)
     for _ in range(100):
         n = 4 + rng.randrange(10**12 - 3)
@@ -76,8 +76,9 @@ def test_spectral_threshold_returns_up_to_huge_n():
 
 
 def test_spectral_threshold_past_the_float_range_raises():
-    # Newton overflows to inf and then NaN there; a NaN fails every check of
-    # the root finder, so it raises instead of returning nan
+    # the cubic overflows to inf or NaN there; the root finder raises on a
+    # value that is not finite instead of returning nan or its last finite
+    # iterate
     for n, d in ((10**103, 2), (10**35, 10**35 // 4)):
         with pytest.raises(RootFindingError):
             spectral_threshold(n, d)
