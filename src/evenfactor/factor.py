@@ -243,8 +243,10 @@ def _prepass_probes(x0: int, kernel: list[int]) -> Iterator[int]:
     yield all_mask
     rng = SplitMix64(_PREPASS_SEED)
     width = (1 << len(kernel)) - 1
+    words = (len(kernel) + 63) // 64
     for _ in range(_PREPASS_PROBES):
-        sel = rng.next_u64() & width
+        # one 64-bit word per 64 kernel cycles, the first word lowest
+        sel = sum(rng.next_u64() << (64 * i) for i in range(words)) & width
         elem = x0
         while sel:
             low = sel & -sel

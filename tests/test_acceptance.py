@@ -16,7 +16,7 @@ from evenfactor.factor import (
     verify_even_factor,
 )
 from evenfactor.graph6 import parse_graph6, write_graph6
-from evenfactor.graphs import Graph, extremal
+from evenfactor.graphs import Graph, complete, extremal
 from evenfactor.harness import lemma_merge_sweep, soundness_sweep, tightness_report
 from evenfactor.identities import grid_failures, run_identity_grid
 from evenfactor.rng import SplitMix64, random_graph_with_edges
@@ -237,6 +237,49 @@ def test_11_paper_range_soundness_sweeps():
     )
     report(
         "paper-range-soundness-sweeps",
+        ok,
+        "; ".join(f"{k}: {v}" for k, v in results.items())
+        + f" as (cx, unknown, rows), {dt:.1f}s",
+    )
+
+
+def test_12_complete_graphs_past_64_kernel_cycles():
+    # K_n for even n >= 32 has a cycle space past 64 dimensions and no
+    # degree-2 vertex, so only a pre-pass probe can find its even factor
+    t0 = time.time()
+    found = {}
+    for n in range(32, 65, 2):
+        g = complete(n)
+        res = has_even_factor(g)
+        found[n] = res.status == EXISTS and verify_even_factor(g, res.certificate)
+    dt = time.time() - t0
+    report(
+        "complete-graphs-exist",
+        all(found.values()),
+        f"unverified at n={[n for n, ok in found.items() if not ok]}, {dt:.1f}s",
+    )
+
+
+def test_13_route_floor_soundness_sweeps():
+    # the size-route floor n = 6*delta - 4 for delta = 5..8, where the
+    # sampler draws graphs as dense as K_n itself
+    t0 = time.time()
+    results = {}
+    for n, delta in ((26, 5), (32, 6), (38, 7), (44, 8)):
+        for which in ("edges", "spectral"):
+            rep = soundness_sweep(ns=[n], delta=delta, samples=50, seed=7, which=which)
+            results[(n, delta, which)] = (
+                len(rep.counterexamples),
+                rep.findings["unknown_rows"],
+                len(rep.rows),
+            )
+    dt = time.time() - t0
+    ok = (
+        all(cx == 0 and unk == 0 and rows == 50 for cx, unk, rows in results.values())
+        and dt < 60.0
+    )
+    report(
+        "route-floor-soundness-sweeps",
         ok,
         "; ".join(f"{k}: {v}" for k, v in results.items())
         + f" as (cx, unknown, rows), {dt:.1f}s",
