@@ -28,8 +28,10 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def randrange(self, n: int) -> int:
-        if n <= 0:
-            raise ValueError("randrange needs a positive bound")
+        # past 2^64 no rejection limit exists: it would be 0 and reject
+        # every draw
+        if not 0 < n <= _MASK64 + 1:
+            raise ValueError(f"randrange needs a bound from 1 to 2^64, got {n}")
         limit = _MASK64 + 1 - (_MASK64 + 1) % n
         while True:
             x = self.next_u64()
@@ -54,8 +56,9 @@ def random_graph_with_edges(n: int, m: int, rng: SplitMix64) -> Graph:
     total = n * (n - 1) // 2
     if not 0 <= m <= total:
         raise ValueError(f"m={m} out of range for n={n}")
+    chosen = rng.sample(m, total)
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    return Graph.from_edges(n, [pairs[i] for i in rng.sample(m, total)])
+    return Graph.from_edges(n, [pairs[i] for i in chosen])
 
 
 def random_connected_graph(n: int, m: int, rng: SplitMix64) -> Graph:
@@ -69,8 +72,9 @@ def random_connected_graph(n: int, m: int, rng: SplitMix64) -> Graph:
 
 
 def complete_minus_random_edges(n: int, k: int, rng: SplitMix64) -> Graph:
-    """K_n with k uniformly chosen edges removed."""
+    """K_n with k uniformly chosen edges removed.  The edges are drawn before
+    K_n's pairs are listed, so a bound randrange refuses fails at once."""
     total = n * (n - 1) // 2
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     missing = set(rng.sample(k, total))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     return Graph.from_edges(n, [pairs[i] for i in range(total) if i not in missing])

@@ -463,6 +463,20 @@ def test_sweep_unknown_rows_exit_4(capsys, monkeypatch, tmp_path):
     assert out == "rows=10 counterexamples=0 unknowns=10 sampler_failures=0\n"
 
 
+def test_sweep_past_2_64_edges_is_a_usage_error(tmp_path):
+    # K_n has more than 2^64 edges at this n, so the sampler's draw has no
+    # rejection limit; it must refuse the bound before listing K_n's pairs.
+    # The child runs capped and with a timeout, so a sampler that loops or
+    # allocates fails the test instead of hanging it
+    out_path = tmp_path / "huge.csv"
+    argv = ["sweep", "soundness", "--n", "8000000000", "--delta", "2", "--samples", "1"]
+    proc = _run_out_of_memory([*argv, "--out", str(out_path)])
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("usage-error: randrange needs a bound from 1 to 2^64, got ")
+    assert proc.stderr.count("\n") == 1
+    assert not out_path.exists()
+
+
 def test_sweep_jobs_zero_exits_2(capsys, tmp_path):
     out_path = tmp_path / "j0.csv"
     code, _, err = run(

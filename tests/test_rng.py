@@ -33,6 +33,16 @@ def test_randrange_bounds_and_determinism():
         SplitMix64(0).randrange(0)
 
 
+def test_randrange_past_2_64_is_refused():
+    # a bound of 2^64 takes every draw as it is; past it no draw would pass
+    # the rejection test, so the bound is refused instead of looping
+    rng, ref = SplitMix64(3), SplitMix64(3)
+    assert [rng.randrange(2**64) for _ in range(4)] == [ref.next_u64() for _ in range(4)]
+    for n in (2**64 + 1, 3 * 2**64, 10**40):
+        with pytest.raises(ValueError, match="bound from 1 to 2\\^64"):
+            rng.randrange(n)
+
+
 def test_sample_distinct():
     rng = SplitMix64(5)
     for _ in range(50):
