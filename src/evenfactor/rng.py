@@ -56,9 +56,8 @@ def random_graph_with_edges(n: int, m: int, rng: SplitMix64) -> Graph:
     total = n * (n - 1) // 2
     if not 0 <= m <= total:
         raise ValueError(f"m={m} out of range for n={n}")
-    chosen = rng.sample(m, total)
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    return Graph.from_edges(n, [pairs[i] for i in chosen])
+    return Graph.from_edges(n, [pairs[i] for i in rng.sample(m, total)])
 
 
 def random_connected_graph(n: int, m: int, rng: SplitMix64) -> Graph:
@@ -73,7 +72,8 @@ def random_connected_graph(n: int, m: int, rng: SplitMix64) -> Graph:
 
 def complete_minus_random_edges(n: int, k: int, rng: SplitMix64) -> Graph:
     """K_n with k uniformly chosen edges removed.  The edges are drawn before
-    K_n's pairs are listed, so a bound randrange refuses fails at once."""
+    K_n's pairs are listed, so a K_n with more than 2^64 edges is refused
+    before any listing."""
     total = n * (n - 1) // 2
     missing = set(rng.sample(k, total))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
