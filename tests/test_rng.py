@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from evenfactor.graphs import Graph
@@ -75,3 +77,32 @@ def test_complete_minus_random_edges():
     rng = SplitMix64(3)
     g = complete_minus_random_edges(8, 5, rng)
     assert g.edge_count == 28 - 5
+
+
+def sampler_grid():
+    """(name, n, k) for both samplers: n from 0 to 64, k at 0, 1, C(n, 2) - 1,
+    C(n, 2) and three seeded values in between."""
+    pick = SplitMix64(64)
+    grid = []
+    for n in range(65):
+        total = n * (n - 1) // 2
+        ks = {0, 1, total - 1, total} | {pick.randrange(total + 1) for _ in range(3)}
+        for k in sorted(k for k in ks if 0 <= k <= total):
+            grid += [("minus", n, k), ("with", n, k)]
+    return grid
+
+
+def test_samplers_are_pinned():
+    # every mask of every draw, and the generator state after it, so the
+    # number of draws each call makes is pinned along with the graphs
+    samplers = {"minus": complete_minus_random_edges, "with": random_graph_with_edges}
+    rng = SplitMix64(2026)
+    lines = []
+    for name, n, k in sampler_grid():
+        g = samplers[name](n, k, rng)
+        assert g.n == n
+        lines.append(f"{name} {n} {k} {' '.join(map(hex, g.adj))} {rng._state:x}\n")
+    assert len(lines) == 846
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == (
+        "1a02edd5aeef3bf2e7a72c67459ef6e1e19d73fb01eabbd3c23e378b6e43b0f7"
+    )
