@@ -22,9 +22,10 @@ class Graph:
     checks the vertex count, the adjacency length, the range of every mask,
     loops and symmetry.  The builders in this package (`from_edges`,
     `with_edge`, `complete`, `disjoint_union`, `join`, `build_family`,
-    `parse_graph6` and everything built on them) check their own arguments
-    and then go through `_trusted`, which skips that O(m) scan because their
-    adjacency is a simple graph by construction.
+    `parse_graph6`, the samplers in `rng` and everything built on them)
+    check their own arguments and then go through `_trusted`, which skips
+    that O(m) scan because their adjacency is a simple graph by
+    construction.
     """
 
     n: int

@@ -51,13 +51,29 @@ class SplitMix64:
         return out
 
 
+def _pair_masks(n: int, indices: list[int]) -> list[int]:
+    """Adjacency masks of the pairs of K_n at `indices`, in the lexicographic
+    pair order (0,1), (0,2), ..., (0,n-1), (1,2), ...: the sorted indices are
+    walked row by row, so no list of K_n's pairs is built."""
+    masks = [0] * n
+    # row u's pairs (u, u+1), ..., (u, n-1) end just before index row_end
+    u, row_end = 0, n - 1
+    for i in sorted(indices):
+        while i >= row_end:
+            u += 1
+            row_end += n - 1 - u
+        v = n - row_end + i
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return masks
+
+
 def random_graph_with_edges(n: int, m: int, rng: SplitMix64) -> Graph:
     """Uniform simple graph on n labeled vertices with exactly m edges."""
     total = n * (n - 1) // 2
     if not 0 <= m <= total:
         raise ValueError(f"m={m} out of range for n={n}")
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    return Graph.from_edges(n, [pairs[i] for i in rng.sample(m, total)])
+    return Graph._trusted(n, tuple(_pair_masks(n, rng.sample(m, total))))
 
 
 def random_connected_graph(n: int, m: int, rng: SplitMix64) -> Graph:
@@ -72,9 +88,8 @@ def random_connected_graph(n: int, m: int, rng: SplitMix64) -> Graph:
 
 def complete_minus_random_edges(n: int, k: int, rng: SplitMix64) -> Graph:
     """K_n with k uniformly chosen edges removed.  The edges are drawn before
-    K_n's pairs are listed, so a K_n with more than 2^64 edges is refused
-    before any listing."""
-    total = n * (n - 1) // 2
-    missing = set(rng.sample(k, total))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    return Graph.from_edges(n, [pairs[i] for i in range(total) if i not in missing])
+    anything is allocated, so a K_n with more than 2^64 edges is refused at
+    once."""
+    missing = _pair_masks(n, rng.sample(k, n * (n - 1) // 2))
+    full = (1 << n) - 1
+    return Graph._trusted(n, tuple(full ^ (1 << v) ^ missing[v] for v in range(n)))

@@ -465,7 +465,7 @@ def test_sweep_unknown_rows_exit_4(capsys, monkeypatch, tmp_path):
 
 def test_sweep_past_2_64_edges_is_a_usage_error(tmp_path):
     # K_n has more than 2^64 edges at this n, so the sampler's draw has no
-    # rejection limit; it must refuse the bound before listing K_n's pairs.
+    # rejection limit; it must refuse the bound before allocating the graph.
     # The child runs capped and with a timeout, so a sampler that loops or
     # allocates fails the test instead of hanging it
     out_path = tmp_path / "huge.csv"

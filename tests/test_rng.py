@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import pytest
 
@@ -106,3 +107,17 @@ def test_samplers_are_pinned():
     assert hashlib.sha256("".join(lines).encode()).hexdigest() == (
         "1a02edd5aeef3bf2e7a72c67459ef6e1e19d73fb01eabbd3c23e378b6e43b0f7"
     )
+
+
+@pytest.mark.parametrize("sampler", [complete_minus_random_edges, random_graph_with_edges])
+def test_one_draw_allocates_no_pair_list(sampler):
+    # the drawn indices define the graph: a draw at n = 500 allocates the
+    # masks and the sample, not K_500's 124,750 pairs (about 12 MB)
+    tracemalloc.start()
+    try:
+        g = sampler(500, 10, SplitMix64(1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.n == 500
+    assert peak < 1_000_000
