@@ -32,6 +32,12 @@ def cell(n, s, delta):
     return [c for c in grid_row(n, delta) if c.params["s"] == s]
 
 
+def json_lines_digest(checks):
+    """sha256 of the JSON lines `verify identities` prints for `checks`."""
+    lines = "".join(json.dumps(c.to_json_dict()) + "\n" for c in checks)
+    return hashlib.sha256(lines.encode()).hexdigest()
+
+
 class TestEdgeDiffs:
     def test_case1_worked_example(self):
         (c,) = by_name(cell(12, 3, 2), "edge_surplus_merged_core")
@@ -304,11 +310,14 @@ class TestGrid:
         }
         assert len(checks) == 42446
         assert sum(1 for c in checks if c.passed is None) == 5966
-        # every byte of the JSON lines `verify identities` prints, on a small grid
+        # every byte of the JSON lines `verify identities` prints, on this
+        # grid and on a small one
+        assert json_lines_digest(checks) == (
+            "ecb571f56cd1061965c8aed6098b385e9058c19096b06cb4ca194ee8e41f16a0"
+        )
         small = run_identity_grid(delta_max=4, n_extra=4)
         assert len(small) == 1960
-        lines = "".join(json.dumps(c.to_json_dict()) + "\n" for c in small)
-        assert hashlib.sha256(lines.encode()).hexdigest() == (
+        assert json_lines_digest(small) == (
             "bcbf810383109632379518a049ed7398310a219808263dd1b602cd7c4018fb3d"
         )
 
