@@ -9,10 +9,12 @@ transcription is checked against an independently computed left side
 (edge counts from realized graphs, characteristic polynomials from cofactor
 expansion), so a transcription typo cannot silently pass.
 
-The grid is evaluated one row (n, delta) at a time by `grid_row`: the
-extremal family's edge count, its cubic and the spectral threshold theta are
-built once per row, and each cell s builds its merged-core and small-cliques
-families and cubics once, for every check of the cell to read.
+The grid is evaluated one row (n, delta) at a time, and one memo lives for
+each `run_identity_grid` call: every split family K_s v (K_{n-s-q(s-1)} u
+(s-1)K_q) the grid names is realized as a graph, and its quotient cubic
+built, once per run, and the sign-claim values that do not depend on n are
+computed once per (s, delta).  The spectral threshold theta is computed
+once per row.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .thresholds import edge_route_floor, spectral_route_floor, spectral_thresho
 FLOAT_RTOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IdentityCheck:
     name: str
     params: dict
@@ -202,12 +204,71 @@ def _charpoly_gap_checks(
     return out
 
 
-def _sign_claims(n: int, s: int, delta: int, p_small, small_surplus) -> list[IdentityCheck]:
+@dataclass(frozen=True, slots=True)
+class _SignConstants:
+    """The sign-claim values at (s, delta) that do not depend on n."""
+
+    radius_chain_min: Fraction
+    floor_min: Fraction
+    pivot: Fraction
+    deriv_at_pivot: Fraction
+    floor_at_nmin: Fraction
+    deriv_chain_min: Fraction
+
+
+def _sign_constants(s: int, delta: int) -> _SignConstants:
+    pivot = Fraction(3 * delta - s - 1, 2)
+    nmin = Fraction(delta**2, 3) + delta  # floor_quadratic's minimum point
+    return _SignConstants(
+        radius_chain_min=Fraction(5 * delta - 3, 2),
+        floor_min=floor_quadratic_min_closed_form(s, delta),
+        pivot=pivot,
+        deriv_at_pivot=2 * (s - 2) * pivot + s**2 - (3 * delta + 1) * s + 6 * delta - 2,
+        floor_at_nmin=floor_quadratic(nmin, s, delta),
+        deriv_chain_min=Fraction(7 * s**2 + 20 * s + 112, 9),
+    )
+
+
+class _GridMemo:
+    """What one grid run builds once and reads in many rows: per split family
+    (n, s, q), the realized graph's edge count and, for s >= 2, its quotient
+    cubic; per (s, delta), the `_SignConstants`.  Each run makes its own, so
+    nothing outlives the call."""
+
+    __slots__ = ("families", "constants")
+
+    def __init__(self) -> None:
+        self.families: dict[tuple[int, int, int], tuple] = {}
+        self.constants: dict[tuple[int, int], _SignConstants] = {}
+
+    def family(self, n: int, s: int, q: int) -> tuple:
+        """(edge count, cubic or None) of K_s v (K_{n-s-q(s-1)} u (s-1)K_q)."""
+        key = (n, s, q)
+        entry = self.families.get(key)
+        if entry is None:
+            # at q = 1 the family is the extremal graph for delta = s, whose
+            # constructor names an empty big clique
+            graph = extremal(n, s) if q == 1 else build_family(merged_family(n, s, s, q))
+            cubic = char_poly(split_quotient(n, s, q)) if s >= 2 else None
+            entry = self.families[key] = (graph.edge_count, cubic)
+        return entry
+
+    def sign_constants(self, s: int, delta: int) -> _SignConstants:
+        consts = self.constants.get((s, delta))
+        if consts is None:
+            consts = self.constants[s, delta] = _sign_constants(s, delta)
+        return consts
+
+
+def _sign_claims(
+    n: int, s: int, delta: int, p_small, small_surplus, consts: _SignConstants
+) -> list[IdentityCheck]:
     """Sign and floor claims used by the two route proofs, each evaluated in
     exact rational arithmetic inside its own hypothesis range (claims outside
     their range are reported as skipped, never evaluated).  `p_small` and
     `small_surplus` are the cell's small-cliques cubic and edge surplus, None
-    where that family does not exist."""
+    where that family does not exist; `consts` holds the values at (s, delta)
+    that do not depend on n."""
     params = {"n": n, "s": s, "delta": delta}
     out: list[IdentityCheck] = []
 
@@ -226,7 +287,7 @@ def _sign_claims(n: int, s: int, delta: int, p_small, small_surplus) -> list[Ide
             out.append(make_check("radius_gap_at_floor_positive", params, at_floor, 0, "gt"))
     else:
         out.append(skipped_check("radius_gap_at_floor_value", params, "needs s >= delta+1 and n >= 2s"))
-    out.append(make_check("radius_gap_chain_min", params, Fraction(5 * delta - 3, 2), 0, "gt"))
+    out.append(make_check("radius_gap_chain_min", params, consts.radius_chain_min, 0, "gt"))
 
     # size route, small cliques: the edge cubic is increasing from 3 and
     # positive there
@@ -296,38 +357,22 @@ def _sign_claims(n: int, s: int, delta: int, p_small, small_surplus) -> list[Ide
             )
         )
     if 3 <= s <= delta - 1:
-        pivot = Fraction(3 * delta - s - 1, 2)
-        deriv_at_pivot = 2 * (s - 2) * pivot + s**2 - (3 * delta + 1) * s + 6 * delta - 2
-        out.append(make_check("floor_deriv_zero_at_pivot", params, deriv_at_pivot, 0))
+        out.append(make_check("floor_deriv_zero_at_pivot", params, consts.deriv_at_pivot, 0))
         if 3 * n >= delta**2 + 3 * delta:
-            nmin = Fraction(delta**2, 3) + delta
-            out.append(make_check("floor_pivot_below_n", params, pivot, n, "lt"))
+            out.append(make_check("floor_pivot_below_n", params, consts.pivot, n, "lt"))
             out.append(
                 make_check(
                     "floor_monotone_to_n",
                     params,
                     floor_quadratic(n, s, delta),
-                    floor_quadratic(nmin, s, delta),
+                    consts.floor_at_nmin,
                     "ge",
                 )
             )
             out.append(
-                make_check(
-                    "floor_min_value",
-                    params,
-                    floor_quadratic(nmin, s, delta),
-                    floor_quadratic_min_closed_form(s, delta),
-                )
+                make_check("floor_min_value", params, consts.floor_at_nmin, consts.floor_min)
             )
-            out.append(
-                make_check(
-                    "floor_min_positive",
-                    params,
-                    floor_quadratic_min_closed_form(s, delta),
-                    0,
-                    "gt",
-                )
-            )
+            out.append(make_check("floor_min_positive", params, consts.floor_min, 0, "gt"))
     else:
         out.append(
             skipped_check("floor_min_positive", params, "needs 3 <= s <= delta-1")
@@ -363,11 +408,7 @@ def _sign_claims(n: int, s: int, delta: int, p_small, small_surplus) -> list[Ide
         if s >= 3:
             out.append(
                 make_check(
-                    "small_cliques_deriv_chain_min",
-                    params,
-                    Fraction(7 * s**2 + 20 * s + 112, 9),
-                    0,
-                    "gt",
+                    "small_cliques_deriv_chain_min", params, consts.deriv_chain_min, 0, "gt"
                 )
             )
 
@@ -382,34 +423,36 @@ def _sign_claims(n: int, s: int, delta: int, p_small, small_surplus) -> list[Ide
 
 
 def grid_row(n: int, delta: int) -> list[IdentityCheck]:
-    """Every check at (n, delta), for s = 1..n//2 in order.
+    """Every check at (n, delta), for s = 1..n//2 in order.  Raises
+    ValueError when the extremal family does not exist."""
+    return _grid_row(n, delta, _GridMemo())
 
-    The extremal family's edge count, its cubic and theta are built once for
-    the row; each cell builds its merged-core family and cubic once, and the
-    small-cliques family's edge surplus and cubic once where that family
-    exists.  Raises ValueError when the extremal family does not exist."""
-    e_star = extremal(n, delta).edge_count
-    p_star = char_poly(split_quotient(n, delta, 1))
+
+def _grid_row(n: int, delta: int, memo: _GridMemo) -> list[IdentityCheck]:
+    """`grid_row`, reading each family and each (s, delta) constant from
+    `memo` and building it there on first use.  theta is built once for the
+    row; the extremal family is the q = 1 family at s = delta."""
+    e_star, p_star = memo.family(n, delta, 1)
     theta = spectral_threshold(n, delta)
-    root_residual = abs(p_star(theta))
+    p_star_theta = p_star(theta)
+    root_residual = abs(p_star_theta)
     root_ok = root_residual <= FLOAT_RTOL * max(1.0, abs(theta) ** 3)
     checks: list[IdentityCheck] = []
     for s in range(1, n // 2 + 1):
         params = {"n": n, "s": s, "delta": delta}
         # edge surplus of the extremal family over the merged-core family
-        surplus = e_star - build_family(merged_family(n, s, s, 1)).edge_count
+        merged_edges, p_merged = memo.family(n, s, 1)
         rhs = Fraction((s - delta) * (2 * n - 3 * s - 3 * delta + 3), 2)
-        checks.append(make_check("edge_surplus_merged_core", params, surplus, rhs))
+        checks.append(make_check("edge_surplus_merged_core", params, e_star - merged_edges, rhs))
         if s >= 2:
-            p_merged = char_poly(split_quotient(n, s, 1))
             checks += _charpoly_gap_checks(
                 "charpoly_gap_merged_core", params, p_merged, p_star, s - delta, radius_gap_quadratic
             )
         q = delta + 1 - s
         p_small = small_surplus = None
         if s >= 2 and q >= 1 and n - s - q * (s - 1) >= q:
-            small_surplus = e_star - build_family(merged_family(n, s, s, q)).edge_count
-            p_small = char_poly(split_quotient(n, s, q))
+            small_edges, p_small = memo.family(n, s, q)
+            small_surplus = e_star - small_edges
             rhs = Fraction((delta - s) * edge_gap_cubic(s, n, delta), 2)
             checks.append(make_check("edge_surplus_small_cliques", params, small_surplus, rhs))
             checks += _charpoly_gap_checks(
@@ -417,7 +460,8 @@ def grid_row(n: int, delta: int) -> list[IdentityCheck]:
             )
             # the same gap at theta, which must also be a root of the
             # extremal cubic (numeric; the exact points above are the proof)
-            lhs = p_small(theta) - p_star(theta)
+            p_small_theta = p_small(theta)
+            lhs = p_small_theta - p_star_theta
             rhs = (delta - s) * theta_gap_quadratic(theta, n, s, delta)
             theta_params = {
                 **params,
@@ -438,13 +482,14 @@ def grid_row(n: int, delta: int) -> list[IdentityCheck]:
                     make_check(
                         "small_cliques_charpoly_at_theta_positive",
                         {**params, "theta": theta},
-                        p_small(theta),
+                        p_small_theta,
                         0.0,
                         "gt",
                     )
                 )
         if s >= 2:
-            checks += _sign_claims(n, s, delta, p_small, small_surplus)
+            consts = memo.sign_constants(s, delta)
+            checks += _sign_claims(n, s, delta, p_small, small_surplus, consts)
     return checks
 
 
@@ -457,13 +502,14 @@ def run_identity_grid(delta_max: int = 8, n_extra: int = 20) -> list[IdentityChe
             f"identity grid needs delta_max >= 2 and n_extra >= 0, "
             f"got delta_max={delta_max}, n_extra={n_extra}"
         )
+    memo = _GridMemo()
     checks: list[IdentityCheck] = []
     for delta in range(2, delta_max + 1):
         floors = (edge_route_floor(delta), spectral_route_floor(delta))
         n_lo = min(floors)
         n_hi = max(floors) + n_extra
         for n in range(n_lo, n_hi + 1):
-            checks.extend(grid_row(n, delta))
+            checks.extend(_grid_row(n, delta, memo))
     return checks
 
 

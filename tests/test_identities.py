@@ -1,6 +1,7 @@
 """Identity checks: frozen worked examples, symbolic cross-derivation of every
 transcribed closed form, and a smoke run of the grid."""
 
+import dataclasses
 import hashlib
 import json
 from collections import Counter
@@ -8,7 +9,9 @@ from fractions import Fraction
 
 import pytest
 
+from evenfactor import identities
 from evenfactor.identities import (
+    IdentityCheck,
     edge_gap_cubic,
     edge_route_floor,
     floor_quadratic,
@@ -259,6 +262,12 @@ class TestSignClaims:
         assert all(c.skipped_reason for c in skipped)
 
 
+@pytest.fixture(scope="module")
+def full_grid():
+    """The grid `verify identities` prints by default."""
+    return run_identity_grid(delta_max=8, n_extra=20)
+
+
 class TestGrid:
     def test_floors(self):
         assert edge_route_floor(2) == 8
@@ -275,8 +284,8 @@ class TestGrid:
         evaluated = [c for c in checks if c.passed is not None]
         assert len(evaluated) > 500
 
-    def test_grid_output_is_pinned(self):
-        checks = run_identity_grid(delta_max=8, n_extra=20)
+    def test_grid_output_is_pinned(self, full_grid):
+        checks = full_grid
         assert Counter(c.name for c in checks) == {
             "charpoly_gap_merged_core": 8502,
             "charpoly_gap_small_cliques_at_theta": 728,
@@ -338,3 +347,60 @@ class TestGrid:
         assert d["lhs"] == "247/9" and d["params"]["q"] == "1/3"
         c = make_check("x", {}, Fraction(4, 2), 2)
         assert c.to_json_dict()["lhs"] == 2
+
+
+class TestGridMemo:
+    """The grid builds each family and each (s, delta) constant once per
+    run; nothing it builds outlives the call."""
+
+    @pytest.mark.parametrize("n, delta", [(8, 2), (26, 5), (44, 8)])
+    def test_row_alone_equals_its_slice_of_the_grid(self, full_grid, n, delta):
+        row = grid_row(n, delta)
+        assert row == [c for c in full_grid if (c.params["n"], c.params["delta"]) == (n, delta)]
+        # the row covers the s = 2 and s = 3 cells and the small-cliques
+        # family at s = delta, where it is the extremal graph itself
+        cells = {c.params["s"] for c in by_name(row, "charpoly_gap_merged_core")}
+        assert {2, 3} <= cells
+        (small,) = [c for c in by_name(row, "edge_surplus_small_cliques") if c.params["s"] == delta]
+        assert small.lhs == 0 and small.passed
+
+    def test_successive_runs_are_equal_and_rebuild_every_family(self, monkeypatch):
+        realized = []
+
+        def counting(build):
+            def wrapped(*args):
+                realized.append((build.__name__, args))
+                return build(*args)
+
+            return wrapped
+
+        monkeypatch.setattr(identities, "extremal", counting(identities.extremal))
+        monkeypatch.setattr(identities, "build_family", counting(identities.build_family))
+        first = run_identity_grid(delta_max=4, n_extra=4)
+        first_realized = realized.copy()
+        realized.clear()
+        second = run_identity_grid(delta_max=4, n_extra=4)
+        assert first == second
+        assert first_realized == realized
+        # each family is realized once per run, not once per cell
+        assert len(set(realized)) == len(realized) > 0
+        assert len(realized) < sum(1 for c in first if c.name.startswith("edge_surplus_"))
+
+    def test_bad_row_still_raises_after_a_run(self):
+        run_identity_grid(delta_max=2, n_extra=1)
+        with pytest.raises(ValueError, match="n=8 too small for delta=6"):
+            grid_row(8, 6)
+
+
+class TestCheckRecord:
+    def test_fields_are_frozen(self):
+        c = make_check("x", {}, 1, 1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            c.passed = False
+
+    def test_record_is_slotted(self):
+        # a per-instance __dict__ makes each of the grid's tens of thousands
+        # of checks larger
+        c = make_check("x", {}, 1, 1)
+        assert not hasattr(c, "__dict__")
+        assert "__dict__" not in dir(IdentityCheck)
