@@ -64,6 +64,20 @@ def degrees_of(edge_set, n):
     return deg
 
 
+def forest_corpus():
+    """Dense and sparse draws with n <= 14 and disjoint unions of them
+    (forests of several roots)."""
+    rng = SplitMix64(1616)
+    graphs = []
+    for _ in range(250):
+        n = 1 + rng.randrange(14)
+        total = comb(n, 2)
+        graphs.append(complete_minus_random_edges(n, rng.randrange(total + 1), rng))
+        graphs.append(random_graph_with_edges(n, rng.randrange(total + 1), rng))
+    graphs += [disjoint_union(graphs[i : i + 3]) for i in range(0, 60, 3)]
+    return graphs
+
+
 class TestCycleSpaceBasis:
     def test_tree_has_empty_basis(self):
         assert cycle_space_basis(path(6)) == []
@@ -93,21 +107,11 @@ class TestCycleSpaceBasis:
             assert len(cycle_space_basis(g)) == m - n + c
 
     def test_forest_walk_is_pinned(self):
-        # the edge list and every fundamental-cycle mask, in order, on dense
-        # and sparse draws with n <= 14 and on disjoint unions (forests of
-        # several roots); any change to the walk's tree or basis order moves
-        # this hash
-        rng = SplitMix64(1616)
-        graphs = []
-        for _ in range(250):
-            n = 1 + rng.randrange(14)
-            total = comb(n, 2)
-            graphs.append(complete_minus_random_edges(n, rng.randrange(total + 1), rng))
-            graphs.append(random_graph_with_edges(n, rng.randrange(total + 1), rng))
-        graphs += [disjoint_union(graphs[i : i + 3]) for i in range(0, 60, 3)]
+        # the edge list and every fundamental-cycle mask, in order; any
+        # change to the walk's tree or basis order moves this hash
         lines = "".join(
             f"{edges}|{[hex(m) for m in basis]}\n"
-            for edges, basis in map(factor._spanning_forest_chords, graphs)
+            for edges, basis in map(factor._spanning_forest_chords, forest_corpus())
         )
         assert hashlib.sha256(lines.encode()).hexdigest() == (
             "a0e6890f21c449683b1376c6077a927b58afeecf9919b5fc0274e91ebffa4f90"
@@ -283,16 +287,24 @@ class TestOracleAgreement:
         assert grown > 20
 
 
+# coset dimensions 18, 15, 15 and 21: past the full scan, and every
+# pre-pass probe misses, so meet in the middle decides each one
+MITM_PARTS = [
+    [PETERSEN, PETERSEN, PETERSEN],
+    [PETERSEN, PETERSEN, complete(4)],
+    [H7, complete(7)],
+    [H7, complete(8)],
+]
+
+
 class TestMeetInTheMiddle:
-    # coset dimensions 18, 15, 15 and 21: past the full scan, and every
-    # pre-pass probe misses, so meet in the middle decides each one
     @pytest.mark.parametrize(
         "parts, status, cost",
         [
-            ([PETERSEN, PETERSEN, PETERSEN], EXISTS, 1228),
-            ([PETERSEN, PETERSEN, complete(4)], EXISTS, 738),
-            ([H7, complete(7)], NOT_EXISTS, 912),
-            ([H7, complete(8)], NOT_EXISTS, 3606),
+            (MITM_PARTS[0], EXISTS, 1228),
+            (MITM_PARTS[1], EXISTS, 738),
+            (MITM_PARTS[2], NOT_EXISTS, 912),
+            (MITM_PARTS[3], NOT_EXISTS, 3606),
         ],
     )
     def test_pinned_result_and_cost(self, monkeypatch, parts, status, cost):
@@ -340,6 +352,23 @@ class TestForcedEdges:
         res = has_even_factor(g)
         assert (res.status, res.search_cost) == (EXISTS, 1)
         assert frozenset(res.certificate) == frozenset(cycle(9).edges())
+
+
+def test_oracle_results_are_pinned():
+    # status, cost and certificate over a corpus that reaches every phase:
+    # the forest corpus (bridge prune, forced parity, full scan, pre-pass),
+    # parity gadgets, the meet-in-the-middle unions, and K_32, whose coset
+    # dimension 465 is past MAX_DIM, so only the pre-pass can decide it
+    graphs = forest_corpus()
+    graphs += [parity_gadget(q, k) for q in range(4, 10) for k in range(2, 6)]
+    graphs += [disjoint_union(parts) for parts in MITM_PARTS]
+    graphs.append(complete(32))
+    lines = "".join(
+        f"{r.status}|{r.search_cost}|{r.certificate}\n" for r in map(has_even_factor, graphs)
+    )
+    assert hashlib.sha256(lines.encode()).hexdigest() == (
+        "0dce687630193a75bedea83b2b6c7e661ac53bebf2085087dc220653210f4c78"
+    )
 
 
 class TestCondition:

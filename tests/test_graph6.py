@@ -64,6 +64,22 @@ def test_roundtrip_small_families():
         assert parse_graph6(write_graph6(g)) == g
 
 
+def test_writer_output_is_pinned():
+    # every n from 0 to 70, so both sides of the "~" header at n = 63: the
+    # empty and the complete graph and three seeded draws per order
+    rng = SplitMix64(6363)
+    digest = hashlib.sha256()
+    for n in range(71):
+        total = n * (n - 1) // 2
+        graphs = [Graph.from_edges(n, []), complete(n)]
+        graphs += [random_graph_with_edges(n, rng.randrange(total + 1), rng) for _ in range(3)]
+        for g in graphs:
+            digest.update(write_graph6(g).encode() + b"\n")
+    assert digest.hexdigest() == (
+        "4b9cea24ee814e4800921734c6ff12ad5b0c15d91e17bd38ebec51ba7ba9d617"
+    )
+
+
 def test_matches_networkx():
     rng = SplitMix64(99)
     for _ in range(300):

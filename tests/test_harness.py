@@ -218,6 +218,20 @@ class TestSoundnessSweep:
         assert digest(rows_without_timing(rep)) == expected
 
     @pytest.mark.parametrize(
+        "which, expected",
+        [
+            ("edges", "a56f36bc9f80675c514a44b4c0d2b077022652964101473901e401c3ea88b826"),
+            ("spectral", "6ab5b15fa472b916105bfdb568974b5815b371bdf143db6926e09723cb8daa2f"),
+        ],
+    )
+    def test_rows_at_a_large_kernel_are_pinned(self, which, expected):
+        # at (32, 6) every coset dimension is past MAX_DIM, so each row is
+        # decided by the oracle's pre-pass alone
+        rep = soundness_sweep(ns=[32], delta=6, samples=50, seed=7, which=which)
+        assert len(rep.rows) == 50
+        assert digest(rows_without_timing(rep)) == expected
+
+    @pytest.mark.parametrize(
         "which, ns, delta, expected",
         [
             ("edges", [8, 10], 2, "1eb536c448436bea83db4e4f65876f2575152df7529e34a5307a1435cda1b4f1"),
