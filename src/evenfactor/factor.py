@@ -23,6 +23,14 @@ _FULL_ENUM_CAP elements, otherwise a seeded pre-pass of probes and then meet
 in the middle.  Every phase charges one per element examined against
 MAX_CANDIDATES (in meet in the middle, one per half-B element and one per
 pair), in that order, and the first full cover ends the search.
+
+Edges are numbered in row order, and vertex v's incidence mask holds the
+bits of its edges; in a simple graph the masks of u and v share exactly the
+bit of edge uv, which is how the spanning-forest walk finds its tree edges.
+The full-cover test of a candidate stops at the first vertex whose mask the
+candidate misses.  The whole cover set is computed only where it is used:
+for the bridge check, and in meet in the middle for the half-A index and
+each half-B element's complement.
 """
 
 from __future__ import annotations
@@ -65,10 +73,26 @@ class ConditionReport:
     witness_odd_components: int | None = None
 
 
-def _spanning_forest_chords(g: Graph) -> tuple[list[Edge], list[int]]:
-    """Edges of g plus the fundamental-cycle edge masks of its chords."""
-    edges = g.edges()
-    eindex = {e: i for i, e in enumerate(edges)}
+def _incidence(g: Graph) -> tuple[list[Edge], list[int]]:
+    """Edges of g in row order (the order of g.edges()) and, per vertex, the
+    mask of the edge bits at it."""
+    edges: list[Edge] = []
+    incident = [0] * g.n
+    for v, row in enumerate(g.adj):
+        m = row >> (v + 1) << (v + 1)
+        while m:
+            b = m & -m
+            u = b.bit_length() - 1
+            m ^= b
+            bit = 1 << len(edges)
+            incident[v] |= bit
+            incident[u] |= bit
+            edges.append((v, u))
+    return edges, incident
+
+
+def _chords(g: Graph, edges: list[Edge], incident: list[int]) -> list[int]:
+    """The fundamental-cycle edge masks of a spanning forest's chords."""
     # path[v]: mask of the tree edges from v up to its root; seen holds the
     # vertices reached so far and tree the edge bits of the forest
     path = [0] * g.n
@@ -86,18 +110,24 @@ def _spanning_forest_chords(g: Graph) -> tuple[list[Edge], list[int]]:
                 b = m & -m
                 u = b.bit_length() - 1
                 m ^= b
-                bit = 1 << eindex[(u, v) if u < v else (v, u)]
+                # in a simple graph two incidence masks share one edge bit
+                bit = incident[u] & incident[v]
                 path[u] = path[v] | bit
                 tree |= bit
                 stack.append(u)
     # the two root paths share their part above the meeting vertex, which
     # the XOR cancels, leaving the chord's fundamental cycle
-    basis = [
+    return [
         (1 << i) ^ path[u] ^ path[v]
         for i, (u, v) in enumerate(edges)
         if not tree >> i & 1
     ]
-    return edges, basis
+
+
+def _spanning_forest_chords(g: Graph) -> tuple[list[Edge], list[int]]:
+    """Edges of g plus the fundamental-cycle edge masks of its chords."""
+    edges, incident = _incidence(g)
+    return edges, _chords(g, edges, incident)
 
 
 def cycle_space_basis(g: Graph) -> list[frozenset[Edge]]:
@@ -122,11 +152,8 @@ def has_even_factor(g: Graph) -> EvenFactorResult:
     n = g.n
     if n == 0:
         return EvenFactorResult(EXISTS, (), 0)
-    edges, basis = _spanning_forest_chords(g)
-    incident = [0] * n
-    for i, (u, v) in enumerate(edges):
-        incident[u] |= 1 << i
-        incident[v] |= 1 << i
+    edges, incident = _incidence(g)
+    basis = _chords(g, edges, incident)
     full = (1 << n) - 1
 
     def cover(mask: int) -> int:
@@ -177,10 +204,17 @@ def has_even_factor(g: Graph) -> EvenFactorResult:
             cost += 1
             if cost > max_candidates:
                 return EvenFactorResult(UNKNOWN, None, cost)
-            c = cover(elem)
-            if c == full:
-                return EvenFactorResult(EXISTS, _edge_mask_to_cert(elem, edges), cost)
-            if on_miss:
+            if on_miss is None:
+                # no cover needed: stop at the first vertex elem leaves uncovered
+                for inc in incident:
+                    if not elem & inc:
+                        break
+                else:
+                    return EvenFactorResult(EXISTS, _edge_mask_to_cert(elem, edges), cost)
+            else:
+                c = cover(elem)
+                if c == full:
+                    return EvenFactorResult(EXISTS, _edge_mask_to_cert(elem, edges), cost)
                 on_miss(elem, c)
         return None
 

@@ -50,24 +50,28 @@ def _parse_header(data: bytes) -> tuple[int, int]:
     return n, end
 
 
+# _REVERSED[x]: x's 6 bits in reverse order plus 63, the printable byte of a
+# group whose first bit in the stream is the lowest bit of x
+_REVERSED = bytes(int(f"{x:06b}"[::-1], 2) + 63 for x in range(64))
+
+
 def write_graph6(g: Graph) -> str:
     if g.n > _MAX_N:
         raise ValueError(f"graph6 caps the order at {_MAX_N}")
-    out = bytearray(_header_bytes(g.n))
-    acc = 0
-    nbits = 0
-    for j in range(1, g.n):
-        col = g.adj[j]
-        for i in range(j):
-            acc = acc << 1 | (col >> i & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(acc + 63)
-                acc = 0
-                nbits = 0
-    if nbits:
-        out.append((acc << (6 - nbits)) + 63)
-    return out.decode("ascii")
+    # bit j(j-1)/2 + i of the stream is the pair (i, j), i < j: column j's
+    # low j bits, the columns in order
+    stream = 0
+    for j, col in enumerate(g.adj):
+        stream |= (col & ((1 << j) - 1)) << (j * (j - 1) // 2)
+    ngroups = (g.n * (g.n - 1) // 2 + 5) // 6
+    # three bytes hold four 6-bit groups, the first group lowest
+    raw = stream.to_bytes(3 * ((ngroups + 3) // 4), "little")
+    rev = _REVERSED
+    out = bytearray()
+    for k in range(0, len(raw), 3):
+        w = int.from_bytes(raw[k : k + 3], "little")
+        out += bytes((rev[w & 63], rev[w >> 6 & 63], rev[w >> 12 & 63], rev[w >> 18]))
+    return (_header_bytes(g.n) + out[:ngroups]).decode("ascii")
 
 
 def parse_graph6(text: str) -> Graph:

@@ -77,16 +77,16 @@ class Graph:
         return self.adj[v].bit_count()
 
     def degrees(self) -> list[int]:
-        return [m.bit_count() for m in self.adj]
+        return list(map(int.bit_count, self.adj))
 
     @property
     def edge_count(self) -> int:
-        return sum(m.bit_count() for m in self.adj) // 2
+        return sum(map(int.bit_count, self.adj)) // 2
 
     def min_degree(self) -> int | None:
         if self.n == 0:
             return None
-        return min(m.bit_count() for m in self.adj)
+        return min(map(int.bit_count, self.adj))
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
