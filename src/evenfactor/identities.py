@@ -9,18 +9,19 @@ transcription is checked against an independently computed left side
 (edge counts from realized graphs, characteristic polynomials from cofactor
 expansion), so a transcription typo cannot silently pass.
 
-The grid is evaluated one row (n, delta) at a time, and one memo lives for
-each `run_identity_grid` call: every split family K_s v (K_{n-s-q(s-1)} u
-(s-1)K_q) the grid names is realized as a graph, and its quotient cubic
-built, once per run, and the sign-claim values that do not depend on n are
-computed once per (s, delta).  The spectral threshold theta is computed
-once per row.
+The grid is evaluated one row (n, delta) at a time, through two per-run
+caches that each `run_identity_grid` call makes for itself: every split
+family K_s v (K_{n-s-q(s-1)} u (s-1)K_q) the grid names is realized as a
+graph, and its quotient cubic built, once per run, and the sign-claim values
+that do not depend on n are computed once per (s, delta).  Nothing is cached
+between runs.  The spectral threshold theta is computed once per row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import isfinite
 from typing import Iterable
 
@@ -229,35 +230,13 @@ def _sign_constants(s: int, delta: int) -> _SignConstants:
     )
 
 
-class _GridMemo:
-    """What one grid run builds once and reads in many rows: per split family
-    (n, s, q), the realized graph's edge count and, for s >= 2, its quotient
-    cubic; per (s, delta), the `_SignConstants`.  Each run makes its own, so
-    nothing outlives the call."""
-
-    __slots__ = ("families", "constants")
-
-    def __init__(self) -> None:
-        self.families: dict[tuple[int, int, int], tuple] = {}
-        self.constants: dict[tuple[int, int], _SignConstants] = {}
-
-    def family(self, n: int, s: int, q: int) -> tuple:
-        """(edge count, cubic or None) of K_s v (K_{n-s-q(s-1)} u (s-1)K_q)."""
-        key = (n, s, q)
-        entry = self.families.get(key)
-        if entry is None:
-            # at q = 1 the family is the extremal graph for delta = s, whose
-            # constructor names an empty big clique
-            graph = extremal(n, s) if q == 1 else build_family(merged_family(n, s, s, q))
-            cubic = char_poly(split_quotient(n, s, q)) if s >= 2 else None
-            entry = self.families[key] = (graph.edge_count, cubic)
-        return entry
-
-    def sign_constants(self, s: int, delta: int) -> _SignConstants:
-        consts = self.constants.get((s, delta))
-        if consts is None:
-            consts = self.constants[s, delta] = _sign_constants(s, delta)
-        return consts
+def _family(n: int, s: int, q: int) -> tuple:
+    """(edge count, cubic or None) of K_s v (K_{n-s-q(s-1)} u (s-1)K_q)."""
+    # at q = 1 the family is the extremal graph for delta = s, whose
+    # constructor names an empty big clique
+    graph = extremal(n, s) if q == 1 else build_family(merged_family(n, s, s, q))
+    cubic = char_poly(split_quotient(n, s, q)) if s >= 2 else None
+    return graph.edge_count, cubic
 
 
 def _sign_claims(
@@ -425,14 +404,15 @@ def _sign_claims(
 def grid_row(n: int, delta: int) -> list[IdentityCheck]:
     """Every check at (n, delta), for s = 1..n//2 in order.  Raises
     ValueError when the extremal family does not exist."""
-    return _grid_row(n, delta, _GridMemo())
+    return _grid_row(n, delta, cache(_family), cache(_sign_constants))
 
 
-def _grid_row(n: int, delta: int, memo: _GridMemo) -> list[IdentityCheck]:
-    """`grid_row`, reading each family and each (s, delta) constant from
-    `memo` and building it there on first use.  theta is built once for the
-    row; the extremal family is the q = 1 family at s = delta."""
-    e_star, p_star = memo.family(n, delta, 1)
+def _grid_row(n: int, delta: int, family, sign_constants) -> list[IdentityCheck]:
+    """`grid_row`, reading each split family from `family` and each
+    (s, delta) constant from `sign_constants`: the caller's per-run caches of
+    `_family` and `_sign_constants`.  theta is built once for the row; the
+    extremal family is the q = 1 family at s = delta."""
+    e_star, p_star = family(n, delta, 1)
     theta = spectral_threshold(n, delta)
     p_star_theta = p_star(theta)
     root_residual = abs(p_star_theta)
@@ -441,7 +421,7 @@ def _grid_row(n: int, delta: int, memo: _GridMemo) -> list[IdentityCheck]:
     for s in range(1, n // 2 + 1):
         params = {"n": n, "s": s, "delta": delta}
         # edge surplus of the extremal family over the merged-core family
-        merged_edges, p_merged = memo.family(n, s, 1)
+        merged_edges, p_merged = family(n, s, 1)
         rhs = Fraction((s - delta) * (2 * n - 3 * s - 3 * delta + 3), 2)
         checks.append(make_check("edge_surplus_merged_core", params, e_star - merged_edges, rhs))
         if s >= 2:
@@ -451,7 +431,7 @@ def _grid_row(n: int, delta: int, memo: _GridMemo) -> list[IdentityCheck]:
         q = delta + 1 - s
         p_small = small_surplus = None
         if s >= 2 and q >= 1 and n - s - q * (s - 1) >= q:
-            small_edges, p_small = memo.family(n, s, q)
+            small_edges, p_small = family(n, s, q)
             small_surplus = e_star - small_edges
             rhs = Fraction((delta - s) * edge_gap_cubic(s, n, delta), 2)
             checks.append(make_check("edge_surplus_small_cliques", params, small_surplus, rhs))
@@ -488,7 +468,7 @@ def _grid_row(n: int, delta: int, memo: _GridMemo) -> list[IdentityCheck]:
                     )
                 )
         if s >= 2:
-            consts = memo.sign_constants(s, delta)
+            consts = sign_constants(s, delta)
             checks += _sign_claims(n, s, delta, p_small, small_surplus, consts)
     return checks
 
@@ -502,14 +482,14 @@ def run_identity_grid(delta_max: int = 8, n_extra: int = 20) -> list[IdentityChe
             f"identity grid needs delta_max >= 2 and n_extra >= 0, "
             f"got delta_max={delta_max}, n_extra={n_extra}"
         )
-    memo = _GridMemo()
+    family, sign_constants = cache(_family), cache(_sign_constants)
     checks: list[IdentityCheck] = []
     for delta in range(2, delta_max + 1):
         floors = (edge_route_floor(delta), spectral_route_floor(delta))
         n_lo = min(floors)
         n_hi = max(floors) + n_extra
         for n in range(n_lo, n_hi + 1):
-            checks.extend(_grid_row(n, delta, memo))
+            checks.extend(_grid_row(n, delta, family, sign_constants))
     return checks
 
 

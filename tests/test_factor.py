@@ -319,6 +319,17 @@ class TestMeetInTheMiddle:
         capped = has_even_factor(g)
         assert (capped.status, capped.search_cost) == (UNKNOWN, cost)
 
+    @pytest.mark.parametrize("n, cost", [(5, 5), (6, 10)])
+    def test_exit_from_half_a(self, monkeypatch, n, cost):
+        # with no full scan and no pre-pass, a factor met while half A is
+        # indexed ends the search before any pair is formed
+        monkeypatch.setattr(factor, "_FULL_ENUM_CAP", 1)
+        monkeypatch.setattr(factor, "_prepass_probes", lambda x0, kernel: iter(()))
+        g = complete(n)
+        res = has_even_factor(g)
+        assert (res.status, res.search_cost) == (EXISTS, cost)
+        assert verify_even_factor(g, res.certificate)
+
 
 def parity_gadget(q, k):
     """Core a=0, b=1; k vertices adjacent to exactly a and b; K_q joined to a

@@ -29,6 +29,10 @@ def test_complete_edge_counts():
     assert complete(4).edge_count == 6
     assert all(d == 3 for d in complete(4).degrees())
     assert complete(7).edge_count == 21
+    with pytest.raises(ValueError, match="non-negative"):
+        complete(-1)
+    with pytest.raises(ValueError, match="at least 3 vertices"):
+        cycle(2)
 
 
 def test_disjoint_union():
@@ -137,6 +141,8 @@ def test_extremal():
     assert g.min_degree() == 3
     with pytest.raises(ValueError):
         extremal(4, 3)
+    with pytest.raises(ValueError, match="delta must be at least 1"):
+        extremal(8, 0)
 
 
 def test_odd_components_minus():
@@ -168,6 +174,10 @@ def test_graph_validation():
         Graph.from_edges(2, [(0, 2)])
     with pytest.raises(ValueError):
         Graph.from_edges(-1, [])
+    with pytest.raises(ValueError, match="non-negative"):
+        Graph(-1, ())
+    with pytest.raises(ValueError, match="out-of-range"):
+        Graph(2, (0b110, 0b001))  # vertex 0 names vertex 2
 
 
 def test_with_edge_and_non_edges():

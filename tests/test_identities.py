@@ -398,6 +398,10 @@ class TestCheckRecord:
         with pytest.raises(dataclasses.FrozenInstanceError):
             c.passed = False
 
+    def test_unknown_relation_is_refused(self):
+        with pytest.raises(ValueError, match="unknown relation 'le'"):
+            make_check("x", {}, 1, 1, "le")
+
     def test_record_is_slotted(self):
         # a per-instance __dict__ makes each of the grid's tens of thousands
         # of checks larger

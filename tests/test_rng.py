@@ -3,6 +3,7 @@ import tracemalloc
 
 import pytest
 
+from evenfactor import rng as rng_module
 from evenfactor.graphs import Graph
 from evenfactor.rng import (
     SplitMix64,
@@ -65,13 +66,21 @@ def test_random_graph_with_edges():
         g = random_graph_with_edges(n, m, rng)
         assert isinstance(g, Graph)
         assert g.n == n and g.edge_count == m
+    with pytest.raises(ValueError, match="m=7 out of range for n=4"):
+        random_graph_with_edges(4, 7, SplitMix64(0))
 
 
-def test_random_connected_graph():
+def test_random_connected_graph(monkeypatch):
     rng = SplitMix64(21)
     for _ in range(20):
         g = random_connected_graph(7, 8, rng)
         assert g.is_connected() and g.edge_count == 8
+    with pytest.raises(ValueError, match="m=3 cannot connect 5 vertices"):
+        random_connected_graph(5, 3, SplitMix64(0))
+    # a connected draw is possible but not met within the allowed tries
+    monkeypatch.setattr(rng_module, "CONNECTED_MAX_TRIES", 1)
+    with pytest.raises(RuntimeError, match=r"^no connected draw in 1 tries \(n=10, m=9\)$"):
+        random_connected_graph(10, 9, SplitMix64(0))
 
 
 def test_complete_minus_random_edges():
