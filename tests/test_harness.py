@@ -106,6 +106,15 @@ class TestLemmaMergeSweep:
             "100686cf9b90c7a2a74c5acd52785ecb9bb41809806f799f332f639951c31425"
         )
 
+    def test_printed_bytes_are_pinned(self):
+        # every byte `verify lemmas --max-n 14 --max-s 4 --p 1,2` prints on
+        # stdout, all columns; CI compares the command's own stdout with it
+        rep = lemma_merge_sweep(14, 4, [1, 2])
+        text = "".join(line + "\n" for line in csv_lines(rep))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "6032d7224b294bf6f0ae0b595750d39d14229520fe3d0660c4ca4e5a245a8e77"
+        )
+
     def test_rows_recompute_from_graph6(self):
         rep = lemma_merge_sweep(10, 2, [1, 2])
         for row in rep.rows:

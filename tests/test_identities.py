@@ -21,6 +21,7 @@ from evenfactor.identities import (
     make_check,
     radius_gap_quadratic,
     run_identity_grid,
+    skipped_check,
     small_cliques_deriv_at_floor_closed_form,
     spectral_route_floor,
     theta_gap_quadratic,
@@ -397,6 +398,21 @@ class TestCheckRecord:
         c = make_check("x", {}, 1, 1)
         with pytest.raises(dataclasses.FrozenInstanceError):
             c.passed = False
+
+    def test_fields_cannot_be_deleted(self):
+        c = make_check("x", {}, 1, 1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del c.passed
+
+    def test_builders_fill_each_field(self):
+        # the builders pass fields by position; each must land in its own field
+        p = {"n": 8}
+        assert make_check("x", p, 1, 2, "lt") == IdentityCheck(
+            name="x", params=p, lhs=1, rhs=2, relation="lt", passed=True
+        )
+        assert skipped_check("x", p, "why") == IdentityCheck(
+            name="x", params=p, lhs=None, rhs=None, passed=None, skipped_reason="why"
+        )
 
     def test_unknown_relation_is_refused(self):
         with pytest.raises(ValueError, match="unknown relation 'le'"):
