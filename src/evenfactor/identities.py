@@ -19,11 +19,11 @@ between runs.  The spectral threshold theta is computed once per row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import cache
 from math import isfinite
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .graphs import build_family, extremal, merged_family
 from .spectral import char_poly, split_quotient
@@ -32,8 +32,12 @@ from .thresholds import edge_route_floor, spectral_route_floor, spectral_thresho
 FLOAT_RTOL = 1e-9
 
 
-@dataclass(frozen=True, slots=True)
-class IdentityCheck:
+class IdentityCheck(NamedTuple):
+    """One identity or sign claim and its outcome.  A tuple, not a frozen
+    dataclass: the grid builds tens of thousands of these, and a frozen
+    dataclass's __init__ spends about a third of the grid's time setting its
+    fields one by one.  Read-only like one, with no per-instance __dict__."""
+
     name: str
     params: dict
     lhs: object
@@ -60,6 +64,12 @@ class IdentityCheck:
             out["skipped"] = self.skipped_reason
         return out
 
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
 
 def _compare(lhs, rhs, relation: str) -> bool:
     if isinstance(lhs, float) or isinstance(rhs, float):
@@ -82,20 +92,11 @@ def _compare(lhs, rhs, relation: str) -> bool:
 
 
 def make_check(name: str, params: dict, lhs, rhs, relation: str = "eq") -> IdentityCheck:
-    return IdentityCheck(
-        name=name,
-        params=params,
-        lhs=lhs,
-        rhs=rhs,
-        relation=relation,
-        passed=_compare(lhs, rhs, relation),
-    )
+    return IdentityCheck(name, params, lhs, rhs, relation, _compare(lhs, rhs, relation))
 
 
 def skipped_check(name: str, params: dict, reason: str) -> IdentityCheck:
-    return IdentityCheck(
-        name=name, params=params, lhs=None, rhs=None, passed=None, skipped_reason=reason
-    )
+    return IdentityCheck(name, params, None, None, "eq", None, reason)
 
 
 # --- transcribed closed forms (single source of truth) ------------------------
