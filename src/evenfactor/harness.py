@@ -226,8 +226,9 @@ def soundness_sweep(
 
     Every n must meet the hypotheses of the route named by `which` (1.1 for
     edges, 1.2 for spectral).  The oracle runs in up to `jobs` worker
-    processes, never more than there are CPUs or draws; the rows do not
-    depend on `jobs`.  At least one n and one sample are required."""
+    processes, never more than there are draws or CPUs this process may run
+    on; the rows do not depend on `jobs`.  At least one n and one sample are
+    required."""
     if which not in ("edges", "spectral"):
         raise ValueError(f"which must be edges|spectral, got {which!r}")
     if jobs < 1:
@@ -281,8 +282,14 @@ def soundness_sweep(
                 attempts = 0
 
     graphs = [g for g, *_ in accepted]
-    # a fork-start pool launches every worker at the first submit
-    workers = min(jobs, os.cpu_count() or 1, len(graphs))
+    # capped at the CPUs this process may run on (its affinity mask, where
+    # the platform has one) and at the draws: a fork-start pool launches
+    # every worker at the first submit
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    workers = min(jobs, cpus, len(graphs))
     if workers > 1:
         # imported here so that loading the package does not pay for it
         from concurrent.futures import ProcessPoolExecutor

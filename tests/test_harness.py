@@ -203,11 +203,25 @@ class TestSoundnessSweep:
                 return map(fn, items)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        # a platform without affinity masks, where the CPU count is the cap
+        monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
         rep = soundness_sweep(ns=[8], delta=2, samples=samples, seed=9, jobs=jobs)
         assert started == ([] if workers is None else [workers])
         assert len(rep.rows) == samples
         seq = soundness_sweep(ns=[8], delta=2, samples=samples, seed=9, jobs=1)
+        assert rows_without_timing(rep) == rows_without_timing(seq)
+
+    def test_worker_count_follows_the_affinity_mask(self, monkeypatch):
+        # pinned to one CPU of a machine with eight, as under `taskset -c 0`
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
+        rep = soundness_sweep(ns=[8], delta=2, samples=30, seed=9, jobs=2)
+        seq = soundness_sweep(ns=[8], delta=2, samples=30, seed=9, jobs=1)
         assert rows_without_timing(rep) == rows_without_timing(seq)
 
     @pytest.mark.parametrize(
