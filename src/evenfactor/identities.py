@@ -35,8 +35,9 @@ FLOAT_RTOL = 1e-9
 class IdentityCheck(NamedTuple):
     """One identity or sign claim and its outcome.  A tuple, not a frozen
     dataclass: the grid builds tens of thousands of these, and a frozen
-    dataclass's __init__ spends about a third of the grid's time setting its
-    fields one by one.  Read-only like one, with no per-instance __dict__."""
+    dataclass's __init__ sets each field through object.__setattr__, which
+    made building the records a large share of the grid's time.  Read-only
+    like one, with no per-instance __dict__."""
 
     name: str
     params: dict
