@@ -290,6 +290,12 @@ def test_usage_error_exits_2(capsys):
     assert "usage-error: condition check capped at 24 vertices, got 25" in err
 
 
+def test_condition_cap_holds_at_even_n(capsys):
+    code, out, err = run(capsys, ["check", "condition", "--graph6", write_graph6(cycle(26))])
+    assert (code, out) == (2, "")
+    assert err == "usage-error: condition check capped at 24 vertices, got 26\n"
+
+
 @pytest.mark.parametrize("command", [["spectral"], ["verdict"]])
 def test_eigensolver_failure_is_a_numeric_error(capsys, monkeypatch, command):
     # LinAlgError is a ValueError, so uncaught it would exit 2 as a usage error

@@ -35,6 +35,7 @@ from evenfactor.rng import (
     random_connected_graph,
     random_graph_with_edges,
 )
+from evenfactor.thresholds import edge_threshold
 
 
 # every vertex on a cycle, three degree-2 vertices; the forced edges at
@@ -75,6 +76,72 @@ def forest_corpus():
         graphs.append(complete_minus_random_edges(n, rng.randrange(total + 1), rng))
         graphs.append(random_graph_with_edges(n, rng.randrange(total + 1), rng))
     graphs += [disjoint_union(graphs[i : i + 3]) for i in range(0, 60, 3)]
+    return graphs
+
+
+def walk_condition(g):
+    """(holds, witness, witness_odd_components) by the subset walk: every
+    size 2 <= s <= n/2 whose edge bound C(s,2) + s(n-s) + C(n-2s+1,2)
+    reaches e(G), each in increasing-bitmask order; the least violating mask
+    over all sizes is the witness."""
+    n, full, best = g.n, (1 << g.n) - 1, None
+    for size in range(2, n // 2 + 1):
+        if comb(size, 2) + size * (n - size) + comb(n - 2 * size + 1, 2) < g.edge_count:
+            continue
+        smask = (1 << size) - 1
+        while smask <= full and (best is None or smask < best[0]):
+            odd = odd_components_minus(g, smask)
+            if odd >= size:
+                best = (smask, odd)
+                break
+            low = smask & -smask
+            ripple = smask + low
+            smask = (((ripple ^ smask) >> 2) // low) | ripple
+    if best is None:
+        return (True, None, None)
+    return (False, tuple(v for v in range(n) if best[0] >> v & 1), best[1])
+
+
+def acceptance_draws():
+    """test_acceptance.py::test_06's 2,000 connected draws, in its order."""
+    rng = SplitMix64(624)
+    graphs = []
+    while len(graphs) < 2000:
+        n = (6, 8, 10)[rng.randrange(3)]
+        m_max = n * (n - 1) // 2
+        g = random_graph_with_edges(n, n - 1 + rng.randrange(m_max - n + 2), rng)
+        if g.is_connected():
+            graphs.append(g)
+    return graphs
+
+
+# (n, delta, draws): even orders where e <= e_thr keeps size delta past the
+# edge prune, since the extremal graph meets its bound with equality
+NEAR_THRESHOLD = ((8, 2, 60), (10, 2, 60), (12, 3, 45), (14, 3, 30), (16, 3, 15))
+
+
+def near_threshold_corpus():
+    """Even-order draws at or just below e_thr: uniform graphs with e = e_thr
+    or up to 2n edges fewer, and extremal graphs with k <= 2 edges dropped
+    and at most k non-edges added back."""
+    rng = SplitMix64(2727)
+    graphs = []
+    for n, delta, draws in NEAR_THRESHOLD:
+        e_thr = edge_threshold(n, delta)
+        edges = extremal(n, delta).edges()
+        for i in range(draws):
+            if i % 3 == 0:
+                graphs.append(random_graph_with_edges(n, e_thr, rng))
+            elif i % 3 == 1:
+                graphs.append(random_graph_with_edges(n, e_thr - rng.randrange(2 * n), rng))
+            else:
+                k = rng.randrange(3)
+                dropped = set(rng.sample(k, len(edges)))
+                g = Graph.from_edges(n, [e for j, e in enumerate(edges) if j not in dropped])
+                missing = g.non_edges()
+                for j in rng.sample(rng.randrange(k + 1), len(missing)):
+                    g = g.with_edge(*missing[j])
+                graphs.append(g)
     return graphs
 
 
@@ -439,9 +506,49 @@ class TestCondition:
         k55 = check_yan_kano_condition(graphs[3])
         assert k55.witness == (0, 1, 2, 3, 4) and k55.witness_odd_components == 5
 
+    def test_matches_the_walk_on_the_acceptance_draws(self):
+        for g in acceptance_draws():
+            rep = check_yan_kano_condition(g)
+            assert (rep.holds, rep.witness, rep.witness_odd_components) == walk_condition(g)
+
+    def test_matches_the_walk_near_the_threshold(self):
+        graphs = near_threshold_corpus()
+        held = 0
+        for g in graphs:
+            rep = check_yan_kano_condition(g)
+            assert (rep.holds, rep.witness, rep.witness_odd_components) == walk_condition(g)
+            held += rep.holds
+        # both answers are well represented
+        assert 0.25 * len(graphs) < held < 0.95 * len(graphs)
+
+    def test_holds_is_bicriticality_past_16(self):
+        # at even n the condition holds iff G - u - v has a perfect matching
+        # for every pair u != v; networkx decides that independently
+        import networkx as nx
+
+        def bicritical(g):
+            whole = nx.Graph(g.edges())
+            whole.add_nodes_from(range(g.n))
+            for u in range(g.n):
+                for v in range(u + 1, g.n):
+                    h = whole.subgraph(set(range(g.n)) - {u, v})
+                    if 2 * len(nx.max_weight_matching(h, maxcardinality=True)) != g.n - 2:
+                        return False
+            return True
+
+        rng = SplitMix64(1824)
+        for n in (18, 20, 22, 24):
+            near = random_graph_with_edges(n, edge_threshold(n, 4) - 2, rng)
+            for g, holds in ((extremal(n, 3), False), (near, True)):
+                assert check_yan_kano_condition(g).holds == bicritical(g) == holds
+
     def test_size_cap(self):
         with pytest.raises(ValueError):
             check_yan_kano_condition(Graph(25, (0,) * 25))
+
+    def test_size_cap_at_even_n(self):
+        with pytest.raises(ValueError, match="^condition check capped at 24 vertices, got 26$"):
+            check_yan_kano_condition(complete(26))
 
     def test_condition_implies_factor_on_even_corpus(self):
         # even order up to 12: whenever the condition holds, the oracle must

@@ -355,6 +355,21 @@ class TestTightnessReport:
         with pytest.raises(ValueError, match="hypotheses unmet"):
             tightness_report(6, 3)
 
+    @pytest.mark.parametrize(
+        "n, delta, want",
+        [
+            (8, 2, "fc85e7edaf5a59f7ca7c2f55e06100d71304b6914af1aa320130042dd57c6ff1"),
+            (10, 2, "96b6f733e5418ce9db099c1963133f4c248fd477e8e02040bb35dab09767b2ec"),
+            (14, 3, "b0600eda665ebf50e9bfe90ac842213d739977bde7d444aee6f0cd4ab545af66"),
+            (20, 4, "72cc72b8f80314b95d3ed58cb8b2875f81d2addb7b75a43ce7aa276ad23fa571"),
+        ],
+        ids=["8-2", "10-2", "14-3", "20-4"],
+    )
+    def test_json_is_pinned(self, n, delta, want):
+        # the bytes `report tightness --out` writes, condition witness included
+        text = json.dumps(tightness_report(n, delta).to_json_dict(), indent=2) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == want
+
     def test_json_roundtrips(self):
         rep = tightness_report(8, 2)
         blob = json.loads(json.dumps(rep.to_json_dict()))
