@@ -31,6 +31,19 @@ The full-cover test of a candidate stops at the first vertex whose mask the
 candidate misses.  The whole cover set is computed only where it is used:
 for the bridge check, and in meet in the middle for the half-A index and
 each half-B element's complement.
+
+The Yan-Kano condition o(G-S) < |S| for every |S| >= 2 is decided first by
+an edge bound on the sizes |S| that can violate it; when no size is left it
+holds.  At even n, o(G-S) has the parity of n - |S|, hence of |S|, so the
+condition says o(G-S) <= |S| - 2, and by Tutte's theorem on G - u - v that
+holds for every |S| >= 2 iff every G - u - v has a perfect matching: G is
+bicritical (Lovasz and Plummer, Matching Theory).  That test takes one
+perfect matching M of G and, per pair, at most one Edmonds augmenting-path
+search between the two vertices M leaves exposed in G - u - v.  The witness
+of a failure is the least violating S in bitmask order, which a failing
+pair does not name, so a failure (G without a perfect matching included)
+is walked over the surviving sizes, as is every odd n, where the parity
+step does not hold.
 """
 
 from __future__ import annotations
@@ -343,19 +356,28 @@ def check_yan_kano_condition(g: Graph) -> ConditionReport:
     whose edge bound C(s,2) + s(n-s) + C(n-2s+1, 2) reaches e(G): G-S must
     split n-s vertices into at least s components, and by convexity of C(k,2)
     the most edges it can then keep is one part of n-2s+1 vertices beside
-    s-1 singletons.  Each surviving size is walked in increasing-bitmask
-    order, and the least violating mask over all sizes is the witness.
+    s-1 singletons.  If no size is left the condition holds.  Otherwise, at
+    even n, it holds iff G is bicritical (module docstring).  A graph that
+    is not, and any graph of odd n, has each surviving size walked in
+    increasing-bitmask order; the least violating mask over all sizes is
+    the witness, and at odd n a walk that finds none means the condition
+    holds.
     """
     n = g.n
     if n > 24:
         raise ValueError(f"condition check capped at 24 vertices, got {n}")
+    e = g.edge_count
+    sizes = []
+    for size in range(2, n // 2 + 1):
+        rest = n - 2 * size + 1
+        if size * (size - 1) // 2 + size * (n - size) + rest * (rest - 1) // 2 >= e:
+            sizes.append(size)
+    if not sizes or n % 2 == 0 and _bicritical(g.adj):
+        return ConditionReport(holds=True)
     full = (1 << n) - 1
     best: int | None = None
     best_odd = 0
-    for size in range(2, n // 2 + 1):
-        rest = n - 2 * size + 1
-        if size * (size - 1) // 2 + size * (n - size) + rest * (rest - 1) // 2 < g.edge_count:
-            continue
+    for size in sizes:
         smask = (1 << size) - 1
         while smask <= full and (best is None or smask < best):
             o = sum(c.bit_count() & 1 for c in g.components(full & ~smask))
@@ -373,3 +395,121 @@ def check_yan_kano_condition(g: Graph) -> ConditionReport:
         witness=mask_vertices(best),
         witness_odd_components=best_odd,
     )
+
+
+def _bicritical(adj: tuple[int, ...]) -> bool:
+    """Whether G - u - v has a perfect matching for every pair u != v."""
+    n = len(adj)
+    full = (1 << n) - 1
+    # one perfect matching M: greedy, then an augmenting path per exposed vertex
+    mate = [-1] * n
+    free = full
+    for v in range(n):
+        m = adj[v] & free
+        if free >> v & 1 and m:
+            u = (m & -m).bit_length() - 1
+            mate[v], mate[u] = u, v
+            free ^= 1 << v | 1 << u
+    for v in range(n):
+        if mate[v] < 0 and not _augment(adj, mate, v, full):
+            return False
+    # mates_of_neighbours[y]: the mates of y's neighbours, so that
+    # x - a - M(a) - y is an augmenting path for every a in
+    # adj[x] & mates_of_neighbours[y]; once x and y are not adjacent, no
+    # such a is one of u, v, x, y
+    mates_of_neighbours = []
+    for row in adj:
+        acc = 0
+        while row:
+            low = row & -row
+            acc |= 1 << mate[low.bit_length() - 1]
+            row ^= low
+        mates_of_neighbours.append(acc)
+    for u in range(n):
+        x = mate[u]
+        # M without ux and vy leaves x and y = M(v) exposed in G - u - v.
+        # v = x keeps M without uv, and v among the mates of x's neighbours
+        # has the edge xy: only the other v need a path
+        pending = full >> (u + 1) << (u + 1) & ~(1 << x | mates_of_neighbours[x])
+        while pending:
+            low = pending & -pending
+            pending ^= low
+            v = low.bit_length() - 1
+            y = mate[v]
+            if adj[x] & mates_of_neighbours[y]:
+                continue
+            split = mate[:]
+            split[u] = split[v] = split[x] = split[y] = -1
+            if not _augment(adj, split, x, full & ~(1 << u | low)):
+                return False
+    return True
+
+
+def _augment(adj: tuple[int, ...], mate: list[int], root: int, alive: int) -> bool:
+    """Edmonds' search for an augmenting path from the exposed vertex root
+    in the subgraph induced by the vertex mask alive; a path found is
+    flipped into mate (mate[v] is v's partner, or -1 when v is exposed)."""
+    n = len(adj)
+    base = list(range(n))
+    # parent[v]: v's predecessor on an alternating path from root, set at
+    # inner vertices and, inside a blossom, at outer ones too
+    parent = [-1] * n
+    outer = 1 << root
+    queue = [root]
+
+    def meet(a: int, b: int) -> int:
+        # the base of the blossom that the edge ab closes: the first base
+        # on b's path to the root that also lies on a's
+        path = 0
+        while True:
+            a = base[a]
+            path |= 1 << a
+            if mate[a] < 0:
+                break
+            a = parent[mate[a]]
+        while not path >> base[b] & 1:
+            b = parent[mate[base[b]]]
+        return base[b]
+
+    def mark(v: int, top: int, child: int, blossom: int) -> int:
+        # walk up from v to the blossom's base top, giving each vertex on
+        # the way a parent across the cycle, so that a path can leave the
+        # blossom from any of its vertices
+        while base[v] != top:
+            blossom |= 1 << base[v] | 1 << base[mate[v]]
+            parent[v] = child
+            child = mate[v]
+            v = parent[child]
+        return blossom
+
+    for v in queue:
+        m = adj[v] & alive
+        while m:
+            low = m & -m
+            to = low.bit_length() - 1
+            m ^= low
+            if base[v] == base[to] or mate[v] == to:
+                continue
+            if to == root or mate[to] >= 0 and parent[mate[to]] >= 0:
+                # outer meets outer: contract the odd cycle into one blossom
+                top = meet(v, to)
+                blossom = mark(to, top, v, mark(v, top, to, 0))
+                for i in range(n):
+                    if blossom >> base[i] & 1:
+                        base[i] = top
+                        if not outer >> i & 1:
+                            outer |= 1 << i
+                            queue.append(i)
+            elif parent[to] < 0:
+                parent[to] = v
+                if mate[to] < 0:
+                    # flip the path from to back to root
+                    while to >= 0:
+                        p = parent[to]
+                        nxt = mate[p]
+                        mate[to], mate[p] = p, to
+                        to = nxt
+                    return True
+                outer |= 1 << mate[to]
+                queue.append(mate[to])
+    return False

@@ -26,6 +26,7 @@ from evenfactor.graphs import (
     disjoint_union,
     extremal,
     join,
+    mask_vertices,
     odd_components_minus,
     path,
 )
@@ -546,9 +547,66 @@ class TestCondition:
         with pytest.raises(ValueError):
             check_yan_kano_condition(Graph(25, (0,) * 25))
 
-    def test_size_cap_at_even_n(self):
+    def test_size_cap_at_even_n(self, monkeypatch):
+        def no_matching_work(adj):
+            raise AssertionError("the matching test ran past the cap")
+
+        monkeypatch.setattr(factor, "_bicritical", no_matching_work)
         with pytest.raises(ValueError, match="^condition check capped at 24 vertices, got 26$"):
             check_yan_kano_condition(complete(26))
+
+    def test_augmenting_search_reaches_maximum_matchings(self):
+        # one search per vertex from the empty matching, inside a random
+        # vertex mask, against networkx; the sparse draws are rich in odd
+        # cycles, so blossoms are contracted along the way
+        import networkx as nx
+
+        rng = SplitMix64(4242)
+        for i in range(400):
+            n = 1 + rng.randrange(16)
+            g = random_graph_with_edges(n, rng.randrange(min(comb(n, 2), 2 * n) + 1), rng)
+            alive = (1 << n) - 1 & ~(rng.randrange(1 << n) if i % 2 else 0)
+            mate = [-1] * n
+            for v in mask_vertices(alive):
+                if mate[v] < 0:
+                    factor._augment(g.adj, mate, v, alive)
+            pairs = {(v, mate[v]) for v in range(n) if mate[v] > v}
+            for u, v in pairs:
+                assert mate[u] == v and g.has_edge(u, v) and alive >> u & 1 and alive >> v & 1
+            h = nx.Graph(g.edges()).subgraph(mask_vertices(alive))
+            assert len(pairs) == len(nx.max_weight_matching(h, maxcardinality=True))
+
+    def test_even_n_takes_the_matching_test_and_odd_n_walks(self, monkeypatch):
+        entered, searches = [], []
+        real_bicritical, real_augment = factor._bicritical, factor._augment
+
+        def bicritical(adj):
+            entered.append((len(adj), real_bicritical(adj)))
+            return entered[-1][1]
+
+        def augment(adj, mate, root, alive):
+            found = real_augment(adj, mate, root, alive)
+            # a search inside G - u - v, not one for G's own perfect matching
+            if alive != (1 << len(adj)) - 1:
+                searches.append(found)
+            return found
+
+        monkeypatch.setattr(factor, "_bicritical", bicritical)
+        monkeypatch.setattr(factor, "_augment", augment)
+        rng = SplitMix64(3131)
+        # odd orders at or below the edge bound of |S| = 2, which the prune
+        # keeps, so the walk decides
+        odd = [
+            random_graph_with_edges(n, comb(n - 3, 2) + 2 * n - 3 - rng.randrange(2 * n), rng)
+            for n in (7, 9, 11, 13)
+            for _ in range(10)
+        ]
+        for g in near_threshold_corpus() + odd:
+            rep = check_yan_kano_condition(g)
+            assert (rep.holds, rep.witness, rep.witness_odd_components) == walk_condition(g)
+        assert all(n % 2 == 0 for n, _ in entered)
+        assert True in {held for _, held in entered}
+        assert True in searches and False in searches
 
     def test_condition_implies_factor_on_even_corpus(self):
         # even order up to 12: whenever the condition holds, the oracle must
