@@ -512,15 +512,44 @@ class TestCondition:
             rep = check_yan_kano_condition(g)
             assert (rep.holds, rep.witness, rep.witness_odd_components) == walk_condition(g)
 
-    def test_matches_the_walk_near_the_threshold(self):
+    def test_matches_the_walk_near_the_threshold(self, monkeypatch):
+        # spies: even n takes the matching test, which decides "holds" and
+        # needs an augmenting-path search on some pair; odd n never enters it
+        entered, searches = [], []
+        real_bicritical, real_augment = factor._bicritical, factor._augment
+
+        def bicritical(adj):
+            entered.append((len(adj), real_bicritical(adj)))
+            return entered[-1][1]
+
+        def augment(adj, mate, root, alive):
+            found = real_augment(adj, mate, root, alive)
+            # a search inside G - u - v, not one for G's own perfect matching
+            if alive != (1 << len(adj)) - 1:
+                searches.append(found)
+            return found
+
+        monkeypatch.setattr(factor, "_bicritical", bicritical)
+        monkeypatch.setattr(factor, "_augment", augment)
+        rng = SplitMix64(3131)
+        # odd orders at or below the edge bound of |S| = 2, which the prune
+        # keeps, so the walk decides
+        odd = [
+            random_graph_with_edges(n, comb(n - 3, 2) + 2 * n - 3 - rng.randrange(2 * n), rng)
+            for n in (7, 9, 11, 13)
+            for _ in range(10)
+        ]
         graphs = near_threshold_corpus()
         held = 0
-        for g in graphs:
+        for g in graphs + odd:
             rep = check_yan_kano_condition(g)
             assert (rep.holds, rep.witness, rep.witness_odd_components) == walk_condition(g)
-            held += rep.holds
+            held += rep.holds and g.n % 2 == 0
         # both answers are well represented
         assert 0.25 * len(graphs) < held < 0.95 * len(graphs)
+        assert all(n % 2 == 0 for n, _ in entered)
+        assert True in {result for _, result in entered}
+        assert True in searches and False in searches
 
     def test_holds_is_bicriticality_past_16(self):
         # at even n the condition holds iff G - u - v has a perfect matching
@@ -575,38 +604,6 @@ class TestCondition:
                 assert mate[u] == v and g.has_edge(u, v) and alive >> u & 1 and alive >> v & 1
             h = nx.Graph(g.edges()).subgraph(mask_vertices(alive))
             assert len(pairs) == len(nx.max_weight_matching(h, maxcardinality=True))
-
-    def test_even_n_takes_the_matching_test_and_odd_n_walks(self, monkeypatch):
-        entered, searches = [], []
-        real_bicritical, real_augment = factor._bicritical, factor._augment
-
-        def bicritical(adj):
-            entered.append((len(adj), real_bicritical(adj)))
-            return entered[-1][1]
-
-        def augment(adj, mate, root, alive):
-            found = real_augment(adj, mate, root, alive)
-            # a search inside G - u - v, not one for G's own perfect matching
-            if alive != (1 << len(adj)) - 1:
-                searches.append(found)
-            return found
-
-        monkeypatch.setattr(factor, "_bicritical", bicritical)
-        monkeypatch.setattr(factor, "_augment", augment)
-        rng = SplitMix64(3131)
-        # odd orders at or below the edge bound of |S| = 2, which the prune
-        # keeps, so the walk decides
-        odd = [
-            random_graph_with_edges(n, comb(n - 3, 2) + 2 * n - 3 - rng.randrange(2 * n), rng)
-            for n in (7, 9, 11, 13)
-            for _ in range(10)
-        ]
-        for g in near_threshold_corpus() + odd:
-            rep = check_yan_kano_condition(g)
-            assert (rep.holds, rep.witness, rep.witness_odd_components) == walk_condition(g)
-        assert all(n % 2 == 0 for n, _ in entered)
-        assert True in {held for _, held in entered}
-        assert True in searches and False in searches
 
     def test_condition_implies_factor_on_even_corpus(self):
         # even order up to 12: whenever the condition holds, the oracle must
