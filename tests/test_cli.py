@@ -12,10 +12,11 @@ from pathlib import Path
 import pytest
 
 import evenfactor
-from evenfactor import cli, factor
+from evenfactor import cli, factor, harness
 from evenfactor.cli import main
+from evenfactor.factor import NOT_EXISTS, ConditionReport, EvenFactorResult
 from evenfactor.graph6 import write_graph6
-from evenfactor.graphs import cycle, extremal
+from evenfactor.graphs import complete, cycle, extremal
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -96,6 +97,22 @@ def test_check_condition(capsys):
     code, out, _ = run(capsys, ["check", "condition", "--graph6", g6])
     assert code == 0
     assert out.strip() == "violated S=0,1 odd_components=2"
+
+
+@pytest.mark.parametrize(
+    "g6",
+    [
+        # a (12, 3) graph at the edge threshold: the edge prune keeps size 3,
+        # so the bicriticality test decides it
+        "Km^{nv}yv~M|",
+        # the edge prune leaves no size
+        write_graph6(complete(8)),
+    ],
+    ids=["bicritical", "pruned"],
+)
+def test_check_condition_holds(capsys, g6):
+    code, out, _ = run(capsys, ["check", "condition", "--graph6", g6])
+    assert (code, out) == (0, "holds\n")
 
 
 def test_spectral(capsys, monkeypatch):
@@ -467,6 +484,42 @@ def test_sweep_unknown_rows_exit_4(capsys, monkeypatch, tmp_path):
     )
     assert code == 4
     assert out == "rows=10 counterexamples=0 unknowns=10 sampler_failures=0\n"
+
+
+@pytest.mark.parametrize(
+    "argv, patched, value, summary",
+    [
+        (
+            ["sweep", "soundness", "--n", "8", "--delta", "2", "--samples", "5"],
+            "has_even_factor",
+            EvenFactorResult(NOT_EXISTS, None, 0),
+            "rows=5 counterexamples=",
+        ),
+        (
+            ["report", "tightness", "--n", "8", "--delta", "2"],
+            "has_even_factor",
+            EvenFactorResult(NOT_EXISTS, None, 0),
+            "checks_passed=5/5 ",
+        ),
+        (
+            ["report", "tightness", "--n", "8", "--delta", "2"],
+            "check_yan_kano_condition",
+            ConditionReport(holds=True),
+            "checks_passed=2/5 ",
+        ),
+    ],
+    ids=["sweep-oracle", "tightness-oracle", "tightness-condition"],
+)
+def test_counterexamples_exit_1(capsys, monkeypatch, tmp_path, argv, patched, value, summary):
+    # a wrong oracle or condition answer must fail the campaign; --jobs 1
+    # keeps the oracle calls in this process, where the patch holds
+    monkeypatch.setattr(harness, patched, lambda g: value)
+    out_path = tmp_path / "failed.out"
+    code, out, _ = run(capsys, ["--jobs", "1", *argv, "--out", str(out_path)])
+    assert code == 1
+    assert out.startswith(summary)
+    assert int(out.split("counterexamples=")[1].split()[0]) > 0
+    assert out_path.read_text()
 
 
 def test_sweep_past_2_64_edges_is_a_usage_error(tmp_path):
