@@ -27,10 +27,11 @@ pair), in that order, and the first full cover ends the search.
 Edges are numbered in row order, and vertex v's incidence mask holds the
 bits of its edges; in a simple graph the masks of u and v share exactly the
 bit of edge uv, which is how the spanning-forest walk finds its tree edges.
-The full-cover test of a candidate stops at the first vertex whose mask the
-candidate misses.  The whole cover set is computed only where it is used:
-for the bridge check, and in meet in the middle for the half-A index and
-each half-B element's complement.
+Every candidate of every phase takes one full-cover test, which stops at
+the first vertex whose mask the candidate misses.  The whole cover set is
+computed only where it is used: for the bridge check, and in meet in the
+middle for each half-B element's complement and for the half-A index,
+which a pass of its own builds once half A's search has found no factor.
 
 The Yan-Kano condition o(G-S) < |S| for every |S| >= 2 is decided first by
 an edge bound on the sizes |S| that can violate it; when no size is left it
@@ -86,9 +87,10 @@ class ConditionReport:
     witness_odd_components: int | None = None
 
 
-def _incidence(g: Graph) -> tuple[list[Edge], list[int]]:
-    """Edges of g in row order (the order of g.edges()) and, per vertex, the
-    mask of the edge bits at it."""
+def _forest(g: Graph) -> tuple[list[Edge], list[int], list[int]]:
+    """Edges of g in row order (the order of g.edges()), per vertex the mask
+    of the edge bits at it, and the fundamental-cycle edge masks of a
+    spanning forest's chords."""
     edges: list[Edge] = []
     incident = [0] * g.n
     for v, row in enumerate(g.adj):
@@ -101,11 +103,6 @@ def _incidence(g: Graph) -> tuple[list[Edge], list[int]]:
             incident[v] |= bit
             incident[u] |= bit
             edges.append((v, u))
-    return edges, incident
-
-
-def _chords(g: Graph, edges: list[Edge], incident: list[int]) -> list[int]:
-    """The fundamental-cycle edge masks of a spanning forest's chords."""
     # path[v]: mask of the tree edges from v up to its root; seen holds the
     # vertices reached so far and tree the edge bits of the forest
     path = [0] * g.n
@@ -130,23 +127,18 @@ def _chords(g: Graph, edges: list[Edge], incident: list[int]) -> list[int]:
                 stack.append(u)
     # the two root paths share their part above the meeting vertex, which
     # the XOR cancels, leaving the chord's fundamental cycle
-    return [
+    basis = [
         (1 << i) ^ path[u] ^ path[v]
         for i, (u, v) in enumerate(edges)
         if not tree >> i & 1
     ]
-
-
-def _spanning_forest_chords(g: Graph) -> tuple[list[Edge], list[int]]:
-    """Edges of g plus the fundamental-cycle edge masks of its chords."""
-    edges, incident = _incidence(g)
-    return edges, _chords(g, edges, incident)
+    return edges, incident, basis
 
 
 def cycle_space_basis(g: Graph) -> list[frozenset[Edge]]:
     """Fundamental cycles of a spanning forest: a basis of the cycle space,
     m - n + c elements, every one with all vertex degrees even."""
-    edges, basis = _spanning_forest_chords(g)
+    edges, _, basis = _forest(g)
     return [frozenset(_edge_mask_to_cert(mask, edges)) for mask in basis]
 
 
@@ -165,8 +157,7 @@ def has_even_factor(g: Graph) -> EvenFactorResult:
     n = g.n
     if n == 0:
         return EvenFactorResult(EXISTS, (), 0)
-    edges, incident = _incidence(g)
-    basis = _chords(g, edges, incident)
+    edges, incident, basis = _forest(g)
     full = (1 << n) - 1
 
     def cover(mask: int) -> int:
@@ -211,24 +202,18 @@ def has_even_factor(g: Graph) -> EvenFactorResult:
     k = len(kernel)
     cost = 0
 
-    def search(candidates: Iterable[int], on_miss=None) -> EvenFactorResult | None:
+    def search(candidates: Iterable[int]) -> EvenFactorResult | None:
         nonlocal cost
         for elem in candidates:
             cost += 1
             if cost > max_candidates:
                 return EvenFactorResult(UNKNOWN, None, cost)
-            if on_miss is None:
-                # no cover needed: stop at the first vertex elem leaves uncovered
-                for inc in incident:
-                    if not elem & inc:
-                        break
-                else:
-                    return EvenFactorResult(EXISTS, _edge_mask_to_cert(elem, edges), cost)
+            # no cover needed: stop at the first vertex elem leaves uncovered
+            for inc in incident:
+                if not elem & inc:
+                    break
             else:
-                c = cover(elem)
-                if c == full:
-                    return EvenFactorResult(EXISTS, _edge_mask_to_cert(elem, edges), cost)
-                on_miss(elem, c)
+                return EvenFactorResult(EXISTS, _edge_mask_to_cert(elem, edges), cost)
         return None
 
     if k <= max_dim and 1 << k <= _FULL_ENUM_CAP:
@@ -245,15 +230,15 @@ def has_even_factor(g: Graph) -> EvenFactorResult:
         return EvenFactorResult(UNKNOWN, None, cost)
 
     # meet in the middle over kernel halves, the offset folded into half A;
-    # the offset itself was a pre-pass probe, so it is indexed uncharged
+    # the offset itself was a pre-pass probe, so it is not charged again
     k_a = k // 2
-    index: dict[int, list[int]] = {cover(x0): [x0]}
-    found = search(
-        islice(_span(x0, kernel[:k_a]), 1, None),
-        on_miss=lambda a, c: index.setdefault(c, []).append(a),
-    )
+    found = search(islice(_span(x0, kernel[:k_a]), 1, None))
     if found:
         return found
+    # no half-A element covers every vertex: index them all by their covers
+    index: dict[int, list[int]] = {}
+    for a in _span(x0, kernel[:k_a]):
+        index.setdefault(cover(a), []).append(a)
 
     def pairs() -> Iterator[int]:
         superset_memo: dict[int, list[list[int]]] = {}

@@ -179,7 +179,7 @@ class TestCycleSpaceBasis:
         # change to the walk's tree or basis order moves this hash
         lines = "".join(
             f"{edges}|{[hex(m) for m in basis]}\n"
-            for edges, basis in map(factor._spanning_forest_chords, forest_corpus())
+            for edges, _, basis in map(factor._forest, forest_corpus())
         )
         assert hashlib.sha256(lines.encode()).hexdigest() == (
             "a0e6890f21c449683b1376c6077a927b58afeecf9919b5fc0274e91ebffa4f90"
