@@ -13,10 +13,11 @@ Both edges at a degree-2 vertex lie in every even factor.  GF(2)
 elimination on those forced coordinates either proves that no cycle-space
 element contains them all (then no factor exists) or yields an offset x0
 containing them and a basis of the kernel K of elements avoiding them;
-every factor lies in the coset x0 ^ K.  The split stays sound with the
-offset folded into half A: cover(x0 ^ a ^ b) is a subset of
-cover(x0 ^ a) | cover(b), so a factor x0 ^ a ^ b is found by pairing x0 ^ a
-with b.
+every factor lies in the coset x0 ^ K.  With no degree-2 vertex nothing
+is forced and no elimination runs: K is the whole space and x0 is empty.
+The split stays sound with the offset folded into half A:
+cover(x0 ^ a ^ b) is a subset of cover(x0 ^ a) | cover(b), so a factor
+x0 ^ a ^ b is found by pairing x0 ^ a with b.
 
 The coset is searched in phases: a full scan when it has at most
 _FULL_ENUM_CAP elements, otherwise a seeded pre-pass of probes and then meet
@@ -27,11 +28,14 @@ pair), in that order, and the first full cover ends the search.
 Edges are numbered in row order, and vertex v's incidence mask holds the
 bits of its edges; in a simple graph the masks of u and v share exactly the
 bit of edge uv, which is how the spanning-forest walk finds its tree edges.
-Every candidate of every phase takes one full-cover test, which stops at
-the first vertex whose mask the candidate misses.  The whole cover set is
-computed only where it is used: for the bridge check, and in meet in the
-middle for each half-B element's complement and for the half-A index,
-which a pass of its own builds once half A's search has found no factor.
+Every candidate of every phase is charged, then sized: each vertex an even
+subgraph covers has degree at least 2, so a candidate with fewer edges than
+vertices cannot cover them all and is dropped at once.  Any other takes
+one full-cover test, which stops at the first vertex whose mask it misses.
+The whole cover set is computed only where it is used: for the bridge
+check, and in meet in the middle for each half-B element's complement and
+for the half-A index, which a pass of its own builds once half A's search
+has found no factor.
 
 The Yan-Kano condition o(G-S) < |S| for every |S| >= 2 is decided first by
 an edge bound on the sizes |S| that can violate it; when no size is left it
@@ -51,7 +55,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from itertools import islice
+from itertools import compress, islice
 
 from .graphs import Edge, Graph, mask_vertices
 from .rng import SplitMix64
@@ -143,7 +147,8 @@ def cycle_space_basis(g: Graph) -> list[frozenset[Edge]]:
 
 
 def _edge_mask_to_cert(mask: int, edges: list[Edge]) -> tuple[Edge, ...]:
-    return tuple(edges[i] for i in mask_vertices(mask))
+    # the mask's binary digits, lowest first, select the edges
+    return tuple(compress(edges, map(int, bin(mask)[:1:-1])))
 
 
 def has_even_factor(g: Graph) -> EvenFactorResult:
@@ -181,23 +186,26 @@ def has_even_factor(g: Graph) -> EvenFactorResult:
     for v in range(n):
         if g.adj[v].bit_count() == 2:
             forced |= incident[v]
-    pivots: list[tuple[int, int]] = []
-    kernel: list[int] = []
-    for b in basis:
-        for p, row in pivots:
-            if b & p:
-                b ^= row
-        r = b & forced
-        if r:
-            pivots.append((r & -r, b))
-        else:
-            kernel.append(b)
+    # with nothing forced the coset is the whole space: no elimination
+    kernel = basis
     x0 = 0
-    for p, row in pivots:
-        if ~x0 & p:
-            x0 ^= row
-    if x0 & forced != forced:
-        return EvenFactorResult(NOT_EXISTS, None, 0)
+    if forced:
+        pivots: list[tuple[int, int]] = []
+        kernel = []
+        for b in basis:
+            for p, row in pivots:
+                if b & p:
+                    b ^= row
+            r = b & forced
+            if r:
+                pivots.append((r & -r, b))
+            else:
+                kernel.append(b)
+        for p, row in pivots:
+            if ~x0 & p:
+                x0 ^= row
+        if x0 & forced != forced:
+            return EvenFactorResult(NOT_EXISTS, None, 0)
 
     k = len(kernel)
     cost = 0
@@ -208,6 +216,10 @@ def has_even_factor(g: Graph) -> EvenFactorResult:
             cost += 1
             if cost > max_candidates:
                 return EvenFactorResult(UNKNOWN, None, cost)
+            # every vertex an even subgraph covers has degree at least 2, so
+            # it covers at most as many vertices as it has edges
+            if elem.bit_count() < n:
+                continue
             # no cover needed: stop at the first vertex elem leaves uncovered
             for inc in incident:
                 if not elem & inc:

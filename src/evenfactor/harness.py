@@ -224,11 +224,15 @@ def soundness_sweep(
     sample needs at least one more draw, so a round never draws past the
     last one used and the rows equal a draw-at-a-time loop's bit for bit.
 
+    The oracle runs once per distinct graph of the sweep, and a repeated
+    draw's row repeats its first occurrence's outcome, elapsed_ms included;
+    nothing is kept across calls.
+
     Every n must meet the hypotheses of the route named by `which` (1.1 for
     edges, 1.2 for spectral).  The oracle runs in up to `jobs` worker
-    processes, never more than there are draws or CPUs this process may run
-    on; the rows do not depend on `jobs`.  At least one n and one sample are
-    required."""
+    processes, never more than there are distinct draws or CPUs this
+    process may run on; the rows do not depend on `jobs`.  At least one n
+    and one sample are required."""
     if which not in ("edges", "spectral"):
         raise ValueError(f"which must be edges|spectral, got {which!r}")
     if jobs < 1:
@@ -281,28 +285,35 @@ def soundness_sweep(
                 left -= 1
                 attempts = 0
 
-    graphs = [g for g, *_ in accepted]
+    # the oracle runs once per distinct adjacency, in first-draw order; a
+    # repeated draw's row reuses that outcome, elapsed_ms included.  The memo
+    # lives for this call only
+    slot: dict[tuple[int, ...], int] = {}
+    distinct: list[Graph] = []
+    for g, *_ in accepted:
+        if g.adj not in slot:
+            slot[g.adj] = len(distinct)
+            distinct.append(g)
     # capped at the CPUs this process may run on (its affinity mask, where
-    # the platform has one) and at the draws: a fork-start pool launches
-    # every worker at the first submit
+    # the platform has one) and at the distinct draws: a fork-start pool
+    # launches every worker at the first submit
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    workers = min(jobs, cpus, len(graphs))
+    workers = min(jobs, cpus, len(distinct))
     if workers > 1:
         # imported here so that loading the package does not pay for it
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_evaluate_oracle, graphs, chunksize=8))
+            outcomes = list(pool.map(_evaluate_oracle, distinct, chunksize=8))
     else:
-        outcomes = [_evaluate_oracle(g) for g in graphs]
+        outcomes = [_evaluate_oracle(g) for g in distinct]
 
     unknowns = 0
-    for row_id, ((g, rho, e_thr, rho_thr, is_ext), (status, cost, ms)) in enumerate(
-        zip(accepted, outcomes)
-    ):
+    for row_id, (g, rho, e_thr, rho_thr, is_ext) in enumerate(accepted):
+        status, cost, ms = outcomes[slot[g.adj]]
         row = _row(
             report.campaign,
             seed,

@@ -185,6 +185,26 @@ class TestCycleSpaceBasis:
             "a0e6890f21c449683b1376c6077a927b58afeecf9919b5fc0274e91ebffa4f90"
         )
 
+    def test_cover_is_at_most_the_edge_count(self):
+        # the bound behind the oracle's size pre-test: each vertex an even
+        # subgraph covers has degree at least 2, so it covers at most as many
+        # vertices as it has edges; every XOR of one to three basis cycles
+        checked = 0
+        for g in forest_corpus():
+            _, incident, basis = factor._forest(g)
+            elems = []
+            for i, a in enumerate(basis):
+                elems.append(a)
+                for j in range(i + 1, len(basis)):
+                    ab = a ^ basis[j]
+                    elems.append(ab)
+                    elems += [ab ^ c for c in basis[j + 1 :]]
+            for elem in elems:
+                covered = g.n - [elem & inc for inc in incident].count(0)
+                assert covered <= elem.bit_count()
+            checked += len(elems)
+        assert checked == 1793791
+
 
 class TestOracle:
     def test_cycle_is_its_own_factor(self):

@@ -1,12 +1,14 @@
 import concurrent.futures
 import hashlib
 import json
+from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
 from evenfactor import harness, thresholds
 from evenfactor.factor import EXISTS
-from evenfactor.graph6 import parse_graph6
+from evenfactor.graph6 import parse_graph6, write_graph6
 from evenfactor.graphs import FamilySpec, build_family, merged_family
 from evenfactor.harness import (
     CSV_COLUMNS,
@@ -36,6 +38,35 @@ def csv_digest(report) -> str:
     # floats at print precision, elapsed_ms dropped
     text = "".join(",".join(line.split(",")[:15]) + "\n" for line in csv_lines(report))
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """Puts a recording stand-in in place of the process pool and returns it."""
+
+    class RecordingPool:
+        """Records each pool's worker count and the items it maps, and runs
+        the work inline; starts no process."""
+
+        started: list[int] = []
+        mapped: list[list] = []
+
+        def __init__(self, max_workers):
+            self.started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            items = list(items)
+            self.mapped.append(items)
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return RecordingPool
 
 
 class TestLemmaMergeSweep:
@@ -178,39 +209,67 @@ class TestSoundnessSweep:
         "jobs, cpus, samples, workers",
         [
             (64, 4, 30, 4),  # capped by the CPU count
-            (64, 128, 3, 3),  # capped by the number of draws
+            (64, 128, 3, 2),  # capped by the number of distinct draws
             (3, 8, 30, 3),
             (4, None, 30, None),  # unknown CPU count: one CPU, no pool
             (2, 8, 1, None),  # one draw: no pool
         ],
     )
-    def test_worker_count_is_bounded(self, monkeypatch, jobs, cpus, samples, workers):
-        started = []
-
-        class RecordingPool:
-            """Records the worker count and runs the work inline; starts no process."""
-
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items, chunksize=1):
-                return map(fn, items)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    def test_worker_count_is_bounded(
+        self, monkeypatch, recording_pool, jobs, cpus, samples, workers
+    ):
         # a platform without affinity masks, where the CPU count is the cap
         monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
         rep = soundness_sweep(ns=[8], delta=2, samples=samples, seed=9, jobs=jobs)
-        assert started == ([] if workers is None else [workers])
+        assert recording_pool.started == ([] if workers is None else [workers])
         assert len(rep.rows) == samples
         seq = soundness_sweep(ns=[8], delta=2, samples=samples, seed=9, jobs=1)
         assert rows_without_timing(rep) == rows_without_timing(seq)
+
+    @pytest.mark.parametrize("which", ["edges", "spectral"])
+    def test_oracle_runs_once_per_distinct_draw(self, monkeypatch, recording_pool, which):
+        # K_n minus a few random edges comes up again and again; each distinct
+        # graph is decided once, and its repeats copy that outcome.  The
+        # oracle's i-th call takes i ms on a fake clock, so a repeat that
+        # reran the oracle would show a new elapsed_ms
+        calls = Counter()
+        clock = [0.0]
+        real = harness.has_even_factor
+
+        def spy(g):
+            calls[write_graph6(g)] += 1
+            clock[0] += (calls.total() + 0.5) / 1000
+            return real(g)
+
+        monkeypatch.setattr(harness, "has_even_factor", spy)
+        monkeypatch.setattr(harness, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+        rep = soundness_sweep(ns=[8, 10], delta=2, samples=100, seed=11, which=which)
+        cells = [row["graph6"] for row in rep.rows]
+        distinct = list(dict.fromkeys(cells))
+        assert len(distinct) < len(cells)
+        assert calls == Counter(distinct)
+        first = {}
+        for row in rep.rows:
+            seen = first.setdefault(row["graph6"], row)
+            for col in ("oracle", "cost_candidates", "elapsed_ms"):
+                assert row[col] == seen[col]
+        assert [row["elapsed_ms"] for row in first.values()] == list(
+            range(1, len(distinct) + 1)
+        )
+
+        # under a pool, only the distinct graphs are mapped
+        monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
+        calls.clear()
+        pooled = soundness_sweep(
+            ns=[8, 10], delta=2, samples=100, seed=11, which=which, jobs=2
+        )
+        assert recording_pool.started == [2]
+        [mapped] = recording_pool.mapped
+        assert [write_graph6(g) for g in mapped] == distinct
+        assert calls == Counter(distinct)
+        assert rows_without_timing(pooled) == rows_without_timing(rep)
 
     def test_worker_count_follows_the_affinity_mask(self, monkeypatch):
         # pinned to one CPU of a machine with eight, as under `taskset -c 0`
