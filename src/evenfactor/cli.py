@@ -198,8 +198,8 @@ def _cmd_check(args) -> int:
     g = _read_graph(args)
     if args.check_what == "even-factor":
         res = has_even_factor(g)
-        # one write for the answer: a print per certificate edge costs more
-        # than the oracle's work on a near-threshold graph of order 10
+        # one write for the whole answer: a print per certificate edge pays a
+        # call and a stream write for each line
         cert = "".join(f"{u} {v}\n" for u, v in res.certificate or ())
         sys.stdout.write(f"{res.status}\ncost {res.search_cost}\n{cert}")
         return EXIT_CAPPED if res.status == UNKNOWN else EXIT_OK

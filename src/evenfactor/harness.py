@@ -285,9 +285,8 @@ def soundness_sweep(
                 left -= 1
                 attempts = 0
 
-    # the oracle runs once per distinct adjacency, in first-draw order; a
-    # repeated draw's row reuses that outcome, elapsed_ms included.  The memo
-    # lives for this call only
+    # slot[adj]: where in distinct the first draw with that adjacency sits,
+    # and so where its outcome will be
     slot: dict[tuple[int, ...], int] = {}
     distinct: list[Graph] = []
     for g, *_ in accepted:
