@@ -291,7 +291,8 @@ class TestOracle:
         g = disjoint_union([H7, complete(5)])
         assert has_even_factor(g).status == NOT_EXISTS
         monkeypatch.setattr(factor, "MAX_DIM", 5)
-        assert has_even_factor(g).status == UNKNOWN
+        res = has_even_factor(g)
+        assert (res.status, res.search_cost) == (UNKNOWN, 520)
 
     def test_k23_has_no_even_factor(self):
         # every vertex sits on a cycle, min degree 2, yet no even spanning
@@ -301,10 +302,15 @@ class TestOracle:
         assert has_even_factor_naive(k23).status == NOT_EXISTS
 
     def test_candidate_cap_reports_unknown(self, monkeypatch):
-        monkeypatch.setattr(factor, "MAX_CANDIDATES", 2)
-        res = has_even_factor(disjoint_union([H7, complete(5)]))
-        assert res.status == UNKNOWN
-        assert res.search_cost == 3
+        # K_32's coset is past MAX_DIM: its 467th pre-pass probe covers
+        k32 = complete(32)
+        res = has_even_factor(k32)
+        assert (res.status, res.search_cost) == (EXISTS, 467)
+        # the cap stops the full scan, and the pre-pass one probe short
+        for g, cap in ((disjoint_union([H7, complete(5)]), 2), (k32, 466)):
+            monkeypatch.setattr(factor, "MAX_CANDIDATES", cap)
+            res = has_even_factor(g)
+            assert (res.status, res.search_cost) == (UNKNOWN, cap + 1)
 
 
 class TestNaiveOracle:
@@ -417,6 +423,10 @@ class TestMeetInTheMiddle:
         res = has_even_factor(g)
         assert (res.status, res.search_cost) == (EXISTS, cost)
         assert verify_even_factor(g, res.certificate)
+        # one candidate short, half A stops at the cap
+        monkeypatch.setattr(factor, "MAX_CANDIDATES", cost - 1)
+        capped = has_even_factor(g)
+        assert (capped.status, capped.search_cost) == (UNKNOWN, cost)
 
 
 def parity_gadget(q, k):
