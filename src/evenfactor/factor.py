@@ -19,26 +19,27 @@ The split stays sound with the offset folded into half A:
 cover(x0 ^ a ^ b) is a subset of cover(x0 ^ a) | cover(b), so a factor
 x0 ^ a ^ b is found by pairing x0 ^ a with b.
 
-The coset is searched in phases: a full scan when it has at most
-_FULL_ENUM_CAP elements, otherwise a seeded pre-pass of probes and then meet
-in the middle.  Every phase charges one per element examined against
-MAX_CANDIDATES (in meet in the middle, one per half-B element and one per
-pair), in that order, and the first full cover ends the search.
+The coset is searched as one stream of candidates, its phases in order: a
+full scan when the coset has at most _FULL_ENUM_CAP elements, otherwise a
+seeded pre-pass of probes and then meet in the middle (one stream element
+per half-B element, then one per pair).  One loop charges each candidate
+one against MAX_CANDIDATES, and the first full cover ends the search.
 
-Edges are numbered in row order, and vertex v's incidence mask holds the
-bits of its edges; in a simple graph the masks of u and v share exactly the
-bit of edge uv, which is how the spanning-forest walk finds its tree edges.
-Every candidate of every phase is charged, then sized: each vertex an even
-subgraph covers has degree at least 2, so a candidate with fewer edges than
-vertices cannot cover them all and is dropped at once.  Any other takes
-one full-cover test, which stops at the first vertex whose mask it misses.
-The whole cover set is computed only where it is used: for the bridge
-check, and in meet in the middle for each half-B element's complement and
-for the half-A index, which a pass of its own builds once half A's search
-has found no factor.
+Edges are numbered in row order, the order of Graph.edges(), and vertex v's
+incidence mask holds the bits of its edges; in a simple graph the masks of
+u and v share exactly the bit of edge uv, which is how the spanning-forest
+walk finds its tree edges.  Every candidate is charged, then sized: each
+vertex an even subgraph covers has degree at least 2, so a candidate with
+fewer edges than vertices cannot cover them all and is dropped at once.
+Any other takes one full-cover test, which stops at the first vertex whose
+mask it misses.  The whole cover set is computed only where it is used: for
+the bridge check, and in meet in the middle for each half-B element's
+complement and for the half-A index, which the stream builds once half A
+has been searched without a factor.
 
 The Yan-Kano condition o(G-S) < |S| for every |S| >= 2 is decided first by
-an edge bound on the sizes |S| that can violate it; when no size is left it
+an edge bound on the sizes s = |S| that can violate it, edge_threshold(n, s),
+the edge count of the extremal graph at delta = s; when no size is left it
 holds.  At even n, o(G-S) has the parity of n - |S|, hence of |S|, so the
 condition says o(G-S) <= |S| - 2, and by Tutte's theorem on G - u - v that
 holds for every |S| >= 2 iff every G - u - v has a perfect matching: G is
@@ -53,12 +54,13 @@ step does not hold.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import compress, islice
 
 from .graphs import Edge, Graph, mask_vertices
 from .rng import SplitMix64
+from .thresholds import edge_threshold
 
 EXISTS = "exists"
 NOT_EXISTS = "not_exists"
@@ -95,18 +97,11 @@ def _forest(g: Graph) -> tuple[list[Edge], list[int], list[int]]:
     """Edges of g in row order (the order of g.edges()), per vertex the mask
     of the edge bits at it, and the fundamental-cycle edge masks of a
     spanning forest's chords."""
-    edges: list[Edge] = []
+    edges = g.edges()
     incident = [0] * g.n
-    for v, row in enumerate(g.adj):
-        m = row >> (v + 1) << (v + 1)
-        while m:
-            b = m & -m
-            u = b.bit_length() - 1
-            m ^= b
-            bit = 1 << len(edges)
-            incident[v] |= bit
-            incident[u] |= bit
-            edges.append((v, u))
+    for i, (u, v) in enumerate(edges):
+        incident[u] |= 1 << i
+        incident[v] |= 1 << i
     # path[v]: mask of the tree edges from v up to its root; seen holds the
     # vertices reached so far and tree the edge bits of the forest
     path = [0] * g.n
@@ -208,51 +203,25 @@ def has_even_factor(g: Graph) -> EvenFactorResult:
             return EvenFactorResult(NOT_EXISTS, None, 0)
 
     k = len(kernel)
-    cost = 0
 
-    def search(candidates: Iterable[int]) -> EvenFactorResult | None:
-        nonlocal cost
-        for elem in candidates:
-            cost += 1
-            if cost > max_candidates:
-                return EvenFactorResult(UNKNOWN, None, cost)
-            # every vertex an even subgraph covers has degree at least 2, so
-            # it covers at most as many vertices as it has edges
-            if elem.bit_count() < n:
-                continue
-            # no cover needed: stop at the first vertex elem leaves uncovered
-            for inc in incident:
-                if not elem & inc:
-                    break
-            else:
-                return EvenFactorResult(EXISTS, _edge_mask_to_cert(elem, edges), cost)
-        return None
-
-    if k <= max_dim and 1 << k <= _FULL_ENUM_CAP:
-        # filter drops the empty element, which covers nothing
-        found = search(filter(None, _span(x0, kernel)))
-        return found or EvenFactorResult(NOT_EXISTS, None, cost)
-
-    # cheap deterministic pre-pass; any full-cover hit is already a factor,
-    # so it runs whatever the dimension
-    found = search(_prepass_probes(x0, kernel))
-    if found:
-        return found
-    if k > max_dim:
-        return EvenFactorResult(UNKNOWN, None, cost)
-
-    # meet in the middle over kernel halves, the offset folded into half A;
-    # the offset itself was a pre-pass probe, so it is not charged again
-    k_a = k // 2
-    found = search(islice(_span(x0, kernel[:k_a]), 1, None))
-    if found:
-        return found
-    # no half-A element covers every vertex: index them all by their covers
-    index: dict[int, list[int]] = {}
-    for a in _span(x0, kernel[:k_a]):
-        index.setdefault(cover(a), []).append(a)
-
-    def pairs() -> Iterator[int]:
+    def candidates() -> Iterator[int]:
+        if k <= max_dim and 1 << k <= _FULL_ENUM_CAP:
+            # filter drops the empty element, which covers nothing
+            yield from filter(None, _span(x0, kernel))
+            return
+        # cheap deterministic pre-pass; any full-cover hit is already a
+        # factor, so it runs whatever the dimension
+        yield from _prepass_probes(x0, kernel)
+        if k > max_dim:
+            return
+        # meet in the middle over kernel halves, the offset folded into half
+        # A; the offset itself was a pre-pass probe, so it is not charged again
+        k_a = k // 2
+        yield from islice(_span(x0, kernel[:k_a]), 1, None)
+        # no half-A element covers every vertex: index them all by their covers
+        index: dict[int, list[int]] = {}
+        for a in _span(x0, kernel[:k_a]):
+            index.setdefault(cover(a), []).append(a)
         superset_memo: dict[int, list[list[int]]] = {}
         for b in _span(0, kernel[k_a:]):
             yield 0  # charges the half-B element: the empty element covers nothing
@@ -263,7 +232,23 @@ def has_even_factor(g: Graph) -> EvenFactorResult:
                 for a in bucket:
                     yield a ^ b
 
-    return search(pairs()) or EvenFactorResult(NOT_EXISTS, None, cost)
+    cost = 0
+    for elem in candidates():
+        cost += 1
+        if cost > max_candidates:
+            return EvenFactorResult(UNKNOWN, None, cost)
+        # every vertex an even subgraph covers has degree at least 2, so it
+        # covers at most as many vertices as it has edges
+        if elem.bit_count() < n:
+            continue
+        # no cover needed: stop at the first vertex elem leaves uncovered
+        for inc in incident:
+            if not elem & inc:
+                break
+        else:
+            return EvenFactorResult(EXISTS, _edge_mask_to_cert(elem, edges), cost)
+    # the stream ran out; past MAX_DIM it held only the pre-pass's probes
+    return EvenFactorResult(UNKNOWN if k > max_dim else NOT_EXISTS, None, cost)
 
 
 def _span(offset: int, basis: list[int]) -> Iterator[int]:
@@ -350,10 +335,12 @@ def check_yan_kano_condition(g: Graph) -> ConditionReport:
     S in increasing-bitmask order is returned as the witness.
 
     Only sizes 2 <= s <= n/2 can violate (o(G-S) <= n - s), and only those
-    whose edge bound C(s,2) + s(n-s) + C(n-2s+1, 2) reaches e(G): G-S must
-    split n-s vertices into at least s components, and by convexity of C(k,2)
-    the most edges it can then keep is one part of n-2s+1 vertices beside
-    s-1 singletons.  If no size is left the condition holds.  Otherwise, at
+    whose edge bound edge_threshold(n, s) reaches e(G): G-S must split n-s
+    vertices into at least s components, and by convexity of C(k,2) the most
+    edges G can then have is C(s,2) + s(n-s) + C(n-2s+1, 2), one part of
+    n-2s+1 vertices beside s-1 singletons, all joined to S.  That is
+    C(n-s+1, 2) + s(s-1), the edge count of the extremal graph
+    K_s v (K_{n-2s+1} u (s-1)K_1).  If no size is left the condition holds.  Otherwise, at
     even n, it holds iff G is bicritical (module docstring).  A graph that
     is not, and any graph of odd n, has each surviving size walked in
     increasing-bitmask order; the least violating mask over all sizes is
@@ -364,11 +351,7 @@ def check_yan_kano_condition(g: Graph) -> ConditionReport:
     if n > 24:
         raise ValueError(f"condition check capped at 24 vertices, got {n}")
     e = g.edge_count
-    sizes = []
-    for size in range(2, n // 2 + 1):
-        rest = n - 2 * size + 1
-        if size * (size - 1) // 2 + size * (n - size) + rest * (rest - 1) // 2 >= e:
-            sizes.append(size)
+    sizes = [size for size in range(2, n // 2 + 1) if edge_threshold(n, size) >= e]
     if not sizes or n % 2 == 0 and _bicritical(g.adj):
         return ConditionReport(holds=True)
     full = (1 << n) - 1

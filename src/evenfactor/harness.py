@@ -226,7 +226,8 @@ def soundness_sweep(
 
     The oracle runs once per distinct graph of the sweep, and a repeated
     draw's row repeats its first occurrence's outcome, elapsed_ms included;
-    nothing is kept across calls.
+    nothing is kept across calls.  findings["distinct_graphs"] counts those
+    graphs.
 
     Every n must meet the hypotheses of the route named by `which` (1.1 for
     edges, 1.2 for spectral).  The oracle runs in up to `jobs` worker
@@ -336,6 +337,7 @@ def soundness_sweep(
     report.findings["sampler_failures"] = sampler_failures
     report.findings["unknown_rows"] = unknowns
     report.findings["extremal_draws"] = sum(1 for *_, ext in accepted if ext)
+    report.findings["distinct_graphs"] = len(distinct)
     return report
 
 

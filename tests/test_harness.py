@@ -249,6 +249,7 @@ class TestSoundnessSweep:
         distinct = list(dict.fromkeys(cells))
         assert len(distinct) < len(cells)
         assert calls == Counter(distinct)
+        assert rep.findings["distinct_graphs"] == len(distinct)
         first = {}
         for row in rep.rows:
             seen = first.setdefault(row["graph6"], row)

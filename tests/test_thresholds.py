@@ -32,7 +32,8 @@ def test_edge_threshold_values():
 
 
 def test_edge_threshold_equals_construction():
-    for delta in range(2, 7):
+    # delta up to 12 covers every (n, s) the condition check's prune reads
+    for delta in range(2, 13):
         for n in range(2 * delta, 61):
             assert edge_threshold(n, delta) == extremal(n, delta).edge_count
 
