@@ -40,16 +40,18 @@ has been searched without a factor.
 The Yan-Kano condition o(G-S) < |S| for every |S| >= 2 is decided first by
 an edge bound on the sizes s = |S| that can violate it, edge_threshold(n, s),
 the edge count of the extremal graph at delta = s; when no size is left it
-holds.  At even n, o(G-S) has the parity of n - |S|, hence of |S|, so the
-condition says o(G-S) <= |S| - 2, and by Tutte's theorem on G - u - v that
-holds for every |S| >= 2 iff every G - u - v has a perfect matching: G is
-bicritical (Lovasz and Plummer, Matching Theory).  That test takes one
-perfect matching M of G and, per pair, at most one Edmonds augmenting-path
-search between the two vertices M leaves exposed in G - u - v.  The witness
-of a failure is the least violating S in bitmask order, which a failing
-pair does not name, so a failure (G without a perfect matching included)
-is walked over the surviving sizes, as is every odd n, where the parity
-step does not hold.
+holds.  Otherwise one predicate decides it at both parities.  Since o(G-S)
+has the parity of n - |S|, the condition says o(G-S) <= |S| - 2 at even n
+and o(G-S) <= |S| - 1 at odd n.  Every S holds some pair u, v; with
+S = T + {u, v}, Tutte's theorem on G - u - v makes that "G - u - v has a
+perfect matching" at even n (G is bicritical; Lovasz and Plummer, Matching
+Theory), and Berge's formula makes it "G - u - v has a matching missing one
+vertex" at odd n, which holds iff G + z - u - v has a perfect matching for
+an apex z joined to every vertex.  The test takes one perfect matching M of
+G, or of G + z, and per pair at most one Edmonds augmenting-path search
+between the two vertices M leaves exposed.  A failing pair does not name the
+witness, the least violating S in bitmask order, so the subset walk over the
+surviving sizes runs only to name a failure's witness.
 """
 
 from __future__ import annotations
@@ -340,19 +342,19 @@ def check_yan_kano_condition(g: Graph) -> ConditionReport:
     edges G can then have is C(s,2) + s(n-s) + C(n-2s+1, 2), one part of
     n-2s+1 vertices beside s-1 singletons, all joined to S.  That is
     C(n-s+1, 2) + s(s-1), the edge count of the extremal graph
-    K_s v (K_{n-2s+1} u (s-1)K_1).  If no size is left the condition holds.  Otherwise, at
-    even n, it holds iff G is bicritical (module docstring).  A graph that
-    is not, and any graph of odd n, has each surviving size walked in
-    increasing-bitmask order; the least violating mask over all sizes is
-    the witness, and at odd n a walk that finds none means the condition
-    holds.
+    K_s v (K_{n-2s+1} u (s-1)K_1).  If no size is left the condition holds.
+    Otherwise it holds iff _bicritical(g.adj), the one matching test of the
+    module docstring: every G - u - v has floor((n-2)/2) matched edges, by
+    Berge's formula at odd n, with an apex.  A failure has each surviving size
+    walked in increasing-bitmask order only to name the witness, the least
+    violating mask over all sizes; the edge prune is exact, so one is found.
     """
     n = g.n
     if n > 24:
         raise ValueError(f"condition check capped at 24 vertices, got {n}")
     e = g.edge_count
     sizes = [size for size in range(2, n // 2 + 1) if edge_threshold(n, size) >= e]
-    if not sizes or n % 2 == 0 and _bicritical(g.adj):
+    if not sizes or _bicritical(g.adj):
         return ConditionReport(holds=True)
     full = (1 << n) - 1
     best: int | None = None
@@ -368,8 +370,6 @@ def check_yan_kano_condition(g: Graph) -> ConditionReport:
             low = smask & -smask
             ripple = smask + low
             smask = (((ripple ^ smask) >> 2) // low) | ripple
-    if best is None:
-        return ConditionReport(holds=True)
     return ConditionReport(
         holds=False,
         witness=mask_vertices(best),
@@ -378,7 +378,12 @@ def check_yan_kano_condition(g: Graph) -> ConditionReport:
 
 
 def _bicritical(adj: tuple[int, ...]) -> bool:
-    """Whether G - u - v has a perfect matching for every pair u != v."""
+    """Whether every G - u - v, u != v, has floor((n-2)/2) matched edges (for
+    n >= 4, where G, or G + z, has a perfect matching).  At odd n (Berge) an
+    apex z joined to every vertex makes it a perfect matching of G + z - u - v."""
+    pairs = (1 << len(adj)) - 1
+    if len(adj) % 2:
+        adj = tuple(row | 1 << len(adj) for row in adj) + (pairs,)
     n = len(adj)
     full = (1 << n) - 1
     # one perfect matching M: greedy, then an augmenting path per exposed vertex
@@ -410,7 +415,7 @@ def _bicritical(adj: tuple[int, ...]) -> bool:
         # M without ux and vy leaves x and y = M(v) exposed in G - u - v.
         # v = x keeps M without uv, and v among the mates of x's neighbours
         # has the edge xy: only the other v need a path
-        pending = full >> (u + 1) << (u + 1) & ~(1 << x | mates_of_neighbours[x])
+        pending = pairs >> (u + 1) << (u + 1) & ~(1 << x | mates_of_neighbours[x])
         while pending:
             low = pending & -pending
             pending ^= low

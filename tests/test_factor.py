@@ -20,7 +20,9 @@ from evenfactor.factor import (
     verify_even_factor,
 )
 from evenfactor.graphs import (
+    FamilySpec,
     Graph,
+    build_family,
     complete,
     cycle,
     disjoint_union,
@@ -543,8 +545,8 @@ class TestCondition:
             assert (rep.holds, rep.witness, rep.witness_odd_components) == walk_condition(g)
 
     def test_matches_the_walk_near_the_threshold(self, monkeypatch):
-        # spies: even n takes the matching test, which decides "holds" and
-        # needs an augmenting-path search on some pair; odd n never enters it
+        # spies: both parities take the matching test, which decides "holds"
+        # and needs an augmenting-path search on some pair
         entered, searches = [], []
         real_bicritical, real_augment = factor._bicritical, factor._augment
 
@@ -563,10 +565,10 @@ class TestCondition:
         monkeypatch.setattr(factor, "_augment", augment)
         rng = SplitMix64(3131)
         # odd orders at or below the edge bound of |S| = 2, which the prune
-        # keeps, so the walk decides
+        # keeps, so the matching test decides
         odd = [
             random_graph_with_edges(n, comb(n - 3, 2) + 2 * n - 3 - rng.randrange(2 * n), rng)
-            for n in (7, 9, 11, 13)
+            for n in (7, 9, 11, 13, 15)
             for _ in range(10)
         ]
         graphs = near_threshold_corpus()
@@ -577,13 +579,14 @@ class TestCondition:
             held += rep.holds and g.n % 2 == 0
         # both answers are well represented
         assert 0.25 * len(graphs) < held < 0.95 * len(graphs)
-        assert all(n % 2 == 0 for n, _ in entered)
-        assert True in {result for _, result in entered}
+        # both parities enter the matching test and get "holds" there
+        assert {n % 2 for n, result in entered if result} == {0, 1}
         assert True in searches and False in searches
 
     def test_holds_is_bicriticality_past_16(self):
-        # at even n the condition holds iff G - u - v has a perfect matching
-        # for every pair u != v; networkx decides that independently
+        # the condition holds iff every G - u - v has floor((n - 2)/2)
+        # matched edges: a perfect matching at even n, one missing a single
+        # vertex at odd n; networkx decides that independently
         import networkx as nx
 
         def bicritical(g):
@@ -592,7 +595,7 @@ class TestCondition:
             for u in range(g.n):
                 for v in range(u + 1, g.n):
                     h = whole.subgraph(set(range(g.n)) - {u, v})
-                    if 2 * len(nx.max_weight_matching(h, maxcardinality=True)) != g.n - 2:
+                    if len(nx.max_weight_matching(h, maxcardinality=True)) != (g.n - 2) // 2:
                         return False
             return True
 
@@ -600,6 +603,15 @@ class TestCondition:
         for n in (18, 20, 22, 24):
             near = random_graph_with_edges(n, edge_threshold(n, 4) - 2, rng)
             for g, holds in ((extremal(n, 3), False), (near, True)):
+                assert check_yan_kano_condition(g).holds == bicritical(g) == holds
+        # extremal(n, 3) holds at odd n, where its big clique is even;
+        # K_3 v (K_{n-6} u 3K_1) leaves four odd components beside its core
+        for n in (19, 23):
+            near = random_graph_with_edges(n, edge_threshold(n, 4) - 2, rng)
+            core = build_family(FamilySpec(3, (n - 6, 1, 1, 1)))
+            rep = check_yan_kano_condition(core)
+            assert (rep.witness, rep.witness_odd_components) == ((0, 1, 2), 4)
+            for g, holds in ((core, False), (near, True)):
                 assert check_yan_kano_condition(g).holds == bicritical(g) == holds
 
     def test_size_cap(self):
@@ -613,6 +625,9 @@ class TestCondition:
         monkeypatch.setattr(factor, "_bicritical", no_matching_work)
         with pytest.raises(ValueError, match="^condition check capped at 24 vertices, got 26$"):
             check_yan_kano_condition(complete(26))
+        # nor at odd n, where the apex would come first
+        with pytest.raises(ValueError, match="^condition check capped at 24 vertices, got 25$"):
+            check_yan_kano_condition(complete(25))
 
     def test_augmenting_search_reaches_maximum_matchings(self):
         # one search per vertex from the empty matching, inside a random
