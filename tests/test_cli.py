@@ -1,10 +1,13 @@
-"""CLI surface: subcommand outputs, exit codes, pipelines via stdin, and
-byte-identical reruns."""
+"""The CLI contract: subcommand outputs and their pinned bytes, exit codes,
+pipelines via stdin, what a child process shows under a memory, CPU, time or
+stdin-encoding limit, and byte-identical reruns."""
 
 import argparse
+import hashlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +20,10 @@ from evenfactor.cli import main
 from evenfactor.factor import NOT_EXISTS, ConditionReport, EvenFactorResult
 from evenfactor.graph6 import write_graph6
 from evenfactor.graphs import complete, cycle, extremal
+from evenfactor.harness import csv_lines, lemma_merge_sweep, tightness_report
+
+# the interpreter arguments that run the CLI in a child
+CLI = ["-m", "evenfactor.cli"]
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -25,6 +32,47 @@ def run(capsys, argv, stdin=None, monkeypatch=None):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _subprocess_env(**extra) -> dict:
+    """The environment with this checkout's package first on PYTHONPATH."""
+    src = str(Path(evenfactor.__file__).resolve().parents[1])
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def _spawn(args, stdin=b"", *, address_space=None, cpus=None, timeout=60, **env):
+    """Run `python *args` in a child and return (exit code, stdout, stderr).
+
+    The child alone is limited: `address_space` bytes of RLIMIT_AS, the CPU
+    set `cpus`, and `timeout` seconds; `env` adds environment variables."""
+
+    def limit():
+        if address_space is not None:
+            resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+        if cpus is not None:
+            os.sched_setaffinity(0, cpus)
+
+    proc = subprocess.run(
+        [sys.executable, *args],
+        input=stdin,
+        capture_output=True,
+        env=_subprocess_env(**env),
+        preexec_fn=limit,
+        timeout=timeout,
+    )
+    return proc.returncode, proc.stdout.decode(), proc.stderr.decode()
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _columns_1_to_15(path):
+    """A sweep CSV as `cut -d, -f1-15` prints it: elapsed_ms, the one
+    timing-derived column, dropped."""
+    return "".join(",".join(line.split(",")[:15]) + "\n" for line in path.read_text().splitlines())
 
 
 def test_threshold_edges(capsys):
@@ -75,13 +123,45 @@ def test_gen_family_unsorted_parts_rejected(capsys):
 
 
 def test_pipeline_check_even_factor(capsys, monkeypatch):
+    # the README pipeline: route 1.1's extremal graph has an even factor
     g6 = write_graph6(extremal(8, 2))
-    code, out, _ = run(capsys, ["check", "even-factor"], stdin=g6, monkeypatch=monkeypatch)
-    assert code == 0
+    code, out, err = run(capsys, ["check", "even-factor"], stdin=g6, monkeypatch=monkeypatch)
+    assert (code, err) == (0, "")
     lines = out.splitlines()
-    assert lines[0] == "exists"
-    assert lines[1].startswith("cost ")
+    assert lines[:2] == ["exists", "cost 17"]
     assert all(len(line.split()) == 2 for line in lines[2:])
+
+
+def test_meet_in_the_middle_without_a_factor(capsys):
+    # H7 beside K_7 has no even factor
+    code, out, err = run(capsys, ["check", "even-factor", "--graph6", "MYMGg?@?WB_N?^?^_"])
+    assert (code, out, err) == (0, "not_exists\ncost 912\n", "")
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        # three Petersen graphs have an even factor, found in the middle:
+        # every certificate line
+        (
+            [
+                "check", "even-factor", "--graph6",
+                "]heA@GUAo??@?@??_@G?O?@??AO?Ao?@W??????G???_??@???H???G???A????Q???@W???Ao",
+            ],
+            "e6be3472ab1683a380a0d2a5a2be96ac7dbc7e6b6a62b93070cb43581dee5018",
+        ),
+        # a larger identity grid than the default: delta up to 12, 101,945 checks
+        (
+            ["verify", "identities", "--delta-max", "12", "--n-extra", "20"],
+            "4c49c6b4f94567ccb329a52843168919d343fd74b7f5d2737a50409fb15d756a",
+        ),
+    ],
+    ids=["three-petersen", "identity-grid-12"],
+)
+def test_stdout_is_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert _sha256(out) == digest
 
 
 def test_check_even_factor_unknown_exits_4(capsys, monkeypatch):
@@ -92,11 +172,20 @@ def test_check_even_factor_unknown_exits_4(capsys, monkeypatch):
     assert out.splitlines()[0] == "unknown"
 
 
-def test_check_condition(capsys):
-    g6 = write_graph6(extremal(8, 2))
-    code, out, _ = run(capsys, ["check", "condition", "--graph6", g6])
-    assert code == 0
-    assert out.strip() == "violated S=0,1 odd_components=2"
+@pytest.mark.parametrize(
+    "flags, stdin, line",
+    [
+        (["--graph6", write_graph6(extremal(8, 2))], None, "violated S=0,1 odd_components=2"),
+        # K_2 v (K_5 u 2K_1) at odd n = 9 leaves three odd components
+        (["--graph6", "H~~~}B?"], None, "violated S=0,1 odd_components=3"),
+        # the extremal graph at (24, 4) fails at its core
+        ([], write_graph6(extremal(24, 4)) + "\n", "violated S=0,1,2,3 odd_components=4"),
+    ],
+    ids=["extremal-8-2", "odd-n", "extremal-24-4-stdin"],
+)
+def test_check_condition(capsys, monkeypatch, flags, stdin, line):
+    code, out, _ = run(capsys, ["check", "condition", *flags], stdin=stdin, monkeypatch=monkeypatch)
+    assert (code, out) == (0, line + "\n")
 
 
 @pytest.mark.parametrize(
@@ -107,12 +196,21 @@ def test_check_condition(capsys):
         "Km^{nv}yv~M|",
         # the edge prune leaves no size
         write_graph6(complete(8)),
+        # an (11, 40) graph whose edge prune keeps sizes 2-5
+        "J~V^evLztr_",
     ],
-    ids=["bicritical", "pruned"],
+    ids=["bicritical", "pruned", "odd-n"],
 )
 def test_check_condition_holds(capsys, g6):
     code, out, _ = run(capsys, ["check", "condition", "--graph6", g6])
     assert (code, out) == (0, "holds\n")
+
+
+def test_condition_holds_at_odd_n_within_seconds():
+    # a (23, 4) draw 46 edges below e_thr: the matching test decides odd n
+    # too, where the subset walk would take seconds
+    g6 = r"V`qwkg\qzlJnnNwnnvZq^BqLRTtoU~y|LwQ~le~L~gq_"
+    assert _spawn([*CLI, "check", "condition", "--graph6", g6], timeout=5) == (0, "holds\n", "")
 
 
 def test_spectral(capsys, monkeypatch):
@@ -125,6 +223,17 @@ def test_spectral(capsys, monkeypatch):
     assert lines[2].startswith("residual ")
 
 
+def test_spectral_of_a_long_path_from_an_edge_list(capsys, monkeypatch):
+    # a 400-vertex path: one eigensolve, exact to print precision
+    edges = "".join(f"{v} {v + 1}\n" for v in range(399))
+    code, out, err = run(capsys, ["spectral"], stdin=edges, monkeypatch=monkeypatch)
+    assert (code, err) == (0, "")
+    rho, iterations, residual = out.splitlines()
+    assert (rho, iterations) == ("rho 1.999938622559", "iterations 0")
+    label, value = residual.split()
+    assert label == "residual" and float(value) < 1e-12
+
+
 def test_spectral_of_zero_vertex_graph_exits_2(capsys):
     code, out, err = run(capsys, ["spectral", "--graph6", "?"])
     assert code == 2
@@ -132,9 +241,10 @@ def test_spectral_of_zero_vertex_graph_exits_2(capsys):
     assert err == "usage-error: spectral radius needs at least one vertex\n"
 
 
-def test_verdict_extremal(capsys):
+@pytest.mark.parametrize("flags", [[], ["--which", "spectral"]], ids=["default", "spectral"])
+def test_verdict_extremal(capsys, flags):
     g6 = write_graph6(extremal(8, 2))
-    code, out, _ = run(capsys, ["verdict", "--graph6", g6])
+    code, out, _ = run(capsys, ["verdict", *flags, "--graph6", g6])
     assert code == 0
     blob = json.loads(out)
     assert blob["guarantee"] == "extremal_exception"
@@ -170,16 +280,13 @@ def test_non_utf8_file_is_a_parse_error(capsys, tmp_path):
     assert err == "parse-error: non-ASCII byte (byte offset 0)\n"
 
 
-def test_non_utf8_stdin_is_a_parse_error(capsys, monkeypatch):
+def test_non_utf8_stdin_is_a_parse_error():
     # a stdin that decodes strictly, as under a UTF-8 locale, fails on the
     # read; the byte is still a parse error, as it is through --file
-    strict = io.TextIOWrapper(io.BytesIO(b"\xff\n"), encoding="utf-8", errors="strict")
-    monkeypatch.setattr("sys.stdin", strict)
-    code = main(["check", "condition"])
-    out, err = capsys.readouterr()
-    assert code == 3
-    assert out == ""
-    assert err == "parse-error: non-ASCII byte (byte offset 0)\n"
+    code, out, err = _spawn(
+        [*CLI, "check", "condition"], b"\xff\n", PYTHONIOENCODING="utf-8:strict"
+    )
+    assert (code, out, err) == (3, "", "parse-error: non-ASCII byte (byte offset 0)\n")
 
 
 def test_blank_stdin_is_a_parse_error(capsys, monkeypatch):
@@ -228,26 +335,8 @@ def test_edge_list_header_past_the_graph6_cap_is_a_parse_error(capsys, monkeypat
     )
 
 
-# address space, in bytes, of a child that must run out of memory; the limit
-# binds the child only, never the test process
+# address space, in bytes, of a child that must run out of memory
 CHILD_ADDRESS_SPACE = 1 << 28
-
-
-def _run_out_of_memory(argv, stdin=""):
-    import resource
-
-    def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE))
-
-    return subprocess.run(
-        [sys.executable, "-m", "evenfactor.cli", *argv],
-        input=stdin,
-        capture_output=True,
-        text=True,
-        env=_subprocess_env(),
-        preexec_fn=limit,
-        timeout=60,
-    )
 
 
 @pytest.mark.parametrize(
@@ -257,17 +346,27 @@ def _run_out_of_memory(argv, stdin=""):
 )
 def test_edge_list_too_large_to_allocate_is_a_parse_error(stdin, n):
     # at or below graph6's cap, but past the memory the reader may take
-    proc = _run_out_of_memory(["check", "condition"], stdin)
-    assert proc.returncode == 3
-    assert proc.stdout == ""
-    assert proc.stderr == f"parse-error: edge list: {n} vertices do not fit in memory\n"
+    code, out, err = _spawn(
+        [*CLI, "check", "condition"], stdin.encode(), address_space=CHILD_ADDRESS_SPACE
+    )
+    assert (code, out) == (3, "")
+    assert err == f"parse-error: edge list: {n} vertices do not fit in memory\n"
 
 
 def test_out_of_memory_is_a_usage_error():
-    proc = _run_out_of_memory(["gen", "extremal", "--n", "1000000", "--delta", "2"])
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert proc.stderr == "usage-error: out of memory running gen\n"
+    argv = ["gen", "extremal", "--n", "1000000", "--delta", "2"]
+    code, out, err = _spawn([*CLI, *argv], address_space=CHILD_ADDRESS_SPACE)
+    assert (code, out, err) == (2, "", "usage-error: out of memory running gen\n")
+
+
+def test_a_draw_fits_in_memory_without_the_pair_list():
+    # a draw decodes its indices into masks: K_3000 minus 5 edges fits in
+    # 400 MB, where a list of K_3000's 4.5 M pairs would not
+    script = (
+        "from evenfactor.rng import SplitMix64, complete_minus_random_edges\n"
+        "print(complete_minus_random_edges(3000, 5, SplitMix64(1)).edge_count)\n"
+    )
+    assert _spawn(["-c", script], address_space=400_000 * 1024) == (0, "4498495\n", "")
 
 
 @pytest.mark.parametrize(
@@ -296,21 +395,20 @@ def test_graph6_and_file_exclude_each_other(capsys, tmp_path, command):
     assert "argument --file: not allowed with argument --graph6" in captured.err
 
 
-def test_usage_error_exits_2(capsys):
+def test_usage_error_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, ["threshold", "--n", "5", "--delta", "3", "--edges"])
     assert code == 2
     assert "usage-error" in err
-    code, _, err = run(capsys, ["report", "tightness", "--n", "6", "--delta", "3", "--out", "/tmp/x.json"])
+    out_path = tmp_path / "x.json"
+    code, _, err = run(capsys, ["report", "tightness", "--n", "6", "--delta", "3", "--out", str(out_path)])
     assert code == 2
-    code, _, err = run(capsys, ["check", "condition", "--graph6", write_graph6(cycle(25))])
-    assert code == 2
-    assert "usage-error: condition check capped at 24 vertices, got 25" in err
 
 
-def test_condition_cap_holds_at_even_n(capsys):
-    code, out, err = run(capsys, ["check", "condition", "--graph6", write_graph6(cycle(26))])
+@pytest.mark.parametrize("n", [25, 26])
+def test_condition_cap_holds_at_both_parities(capsys, n):
+    code, out, err = run(capsys, ["check", "condition", "--graph6", write_graph6(cycle(n))])
     assert (code, out) == (2, "")
-    assert err == "usage-error: condition check capped at 24 vertices, got 26\n"
+    assert err == f"usage-error: condition check capped at 24 vertices, got {n}\n"
 
 
 @pytest.mark.parametrize("command", [["spectral"], ["verdict"]])
@@ -370,6 +468,7 @@ def test_threshold_past_the_float_range_is_a_numeric_error(capsys):
     assert (code, out) == (1, "")
     assert err.startswith("numeric-error: ")
     assert err.count("\n") == 1
+    assert "nan" not in err
 
 
 @pytest.mark.parametrize(
@@ -424,12 +523,15 @@ def test_verify_identities(capsys):
 
 def test_verify_lemmas(capsys):
     code, out, err = run(
-        capsys, ["verify", "lemmas", "--max-n", "9", "--max-s", "2", "--p", "1"]
+        capsys, ["verify", "lemmas", "--max-n", "14", "--max-s", "4", "--p", "1,2"]
     )
     assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0].startswith("campaign,seed,row_id")
-    assert "counterexamples=0" in err
+    assert out.startswith("campaign,seed,row_id")
+    # the rows whose bytes test_harness pins; the summary is the last line
+    # on stderr
+    rep = lemma_merge_sweep(14, 4, [1, 2])
+    assert out == "".join(line + "\n" for line in csv_lines(rep))
+    assert err.splitlines()[-1] == "instances=824 counterexamples=0"
 
 
 def test_lemma_parts_below_one_exit_2(capsys):
@@ -471,6 +573,59 @@ def test_sweep_soundness(capsys, tmp_path):
     lines = out_path.read_text().splitlines()
     assert lines[0].startswith("campaign,")
     assert len(lines) == 26
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        # the oracle runs the pre-pass past MAX_DIM
+        (
+            ["--n", "44", "--delta", "8", "--samples", "50", "--seed", "7"],
+            "da379d1d6dda72bd09269cdb30056879ef8d94dd5c535e6dcdfb5ba5e2f4fb93",
+        ),
+        # the acceptance sweeps, which repeat draws most (252 and 360 of
+        # their 1,000), one per route
+        (
+            ["--n", "8,10", "--delta", "2", "--samples", "500", "--seed", "42"],
+            "55901594797d2b8cf3ee44526179600eed412f85e86b5c9b43afedec821c1bfa",
+        ),
+        (
+            ["--which", "spectral", "--n", "8,10", "--delta", "2", "--samples", "500", "--seed", "42"],
+            "a2464b112eef9eba4a9ed6f6e509b6f35165c720b01fcebfc8bff2132767b856",
+        ),
+    ],
+    ids=["44-8", "acceptance-edges", "acceptance-spectral"],
+)
+def test_sweep_csv_is_pinned(capsys, tmp_path, argv, digest):
+    out_path = tmp_path / "sweep.csv"
+    code, _, _ = run(capsys, ["sweep", "soundness", *argv, "--out", str(out_path)])
+    assert code == 0
+    assert _sha256(_columns_1_to_15(out_path)) == digest
+
+
+SWEEP_14_3 = ["sweep", "soundness", "--n", "14", "--delta", "3", "--samples", "50", "--seed", "1"]
+
+
+@pytest.mark.parametrize("which", ["edges", "spectral"])
+def test_sweep_rows_do_not_depend_on_jobs(capsys, tmp_path, which):
+    argv = [*SWEEP_14_3, "--which", which]
+    j1, j2 = tmp_path / "j1.csv", tmp_path / "j2.csv"
+    assert main(["--jobs", "1", *argv, "--out", str(j1)]) == 0
+    assert main(["--jobs", "2", *argv, "--out", str(j2)]) == 0
+    capsys.readouterr()
+    assert _columns_1_to_15(j1) == _columns_1_to_15(j2)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs affinity masks")
+def test_sweep_pinned_to_one_cpu_keeps_its_rows(capsys, tmp_path):
+    # pinned to one CPU, --jobs 2 starts no second worker; the rows hold
+    j1, pinned = tmp_path / "j1.csv", tmp_path / "pinned.csv"
+    assert main(["--jobs", "1", *SWEEP_14_3, "--out", str(j1)]) == 0
+    capsys.readouterr()
+    one_cpu = {min(os.sched_getaffinity(0))}
+    code, _, _ = _spawn([*CLI, "--jobs", "2", *SWEEP_14_3, "--out", str(pinned)], cpus=one_cpu)
+    assert code == 0
+    assert _columns_1_to_15(j1) == _columns_1_to_15(pinned)
 
 
 def test_sweep_unknown_rows_exit_4(capsys, monkeypatch, tmp_path):
@@ -529,10 +684,12 @@ def test_sweep_past_2_64_edges_is_a_usage_error(tmp_path):
     # allocates fails the test instead of hanging it
     out_path = tmp_path / "huge.csv"
     argv = ["sweep", "soundness", "--n", "8000000000", "--delta", "2", "--samples", "1"]
-    proc = _run_out_of_memory([*argv, "--out", str(out_path)])
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr.startswith("usage-error: randrange needs a bound from 1 to 2^64, got ")
-    assert proc.stderr.count("\n") == 1
+    code, out, err = _spawn(
+        [*CLI, *argv, "--out", str(out_path)], address_space=CHILD_ADDRESS_SPACE
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("usage-error: randrange needs a bound from 1 to 2^64, got ")
+    assert err.count("\n") == 1
     assert not out_path.exists()
 
 
@@ -559,11 +716,7 @@ def test_sweep_rerun_is_byte_identical_modulo_timing(capsys, tmp_path):
     assert main(argv + ["--out", str(a)]) == 0
     assert main(argv + ["--out", str(b)]) == 0
     capsys.readouterr()
-
-    def strip_timing(text):
-        return ["," .join(line.split(",")[:-1]) for line in text.splitlines()]
-
-    assert strip_timing(a.read_text()) == strip_timing(b.read_text())
+    assert _columns_1_to_15(a) == _columns_1_to_15(b)
 
 
 def test_report_tightness(capsys, tmp_path):
@@ -574,8 +727,11 @@ def test_report_tightness(capsys, tmp_path):
     )
     assert code == 0
     assert "checks_passed=5/5" in out
-    blob = json.loads(out_path.read_text())
+    text = out_path.read_text()
+    blob = json.loads(text)
     assert blob["findings"]["extremal_oracle_finding"]["status"] == "exists"
+    # the JSON whose bytes test_harness pins
+    assert text == json.dumps(tightness_report(8, 2).to_json_dict(), indent=2) + "\n"
 
 
 @pytest.mark.parametrize(
@@ -663,15 +819,9 @@ def test_cli_request_leaves_numpy_unloaded():
         "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
         "assert 'concurrent.futures.process' not in sys.modules, 'process pool was imported'\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", script],
-        capture_output=True,
-        text=True,
-        env=_subprocess_env(),
-        timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[0] == "edges 23"
+    code, out, err = _spawn(["-c", script])
+    assert code == 0, err
+    assert out.splitlines()[0] == "edges 23"
 
 
 @pytest.mark.parametrize(
@@ -693,14 +843,8 @@ def test_each_module_imports_alone(module):
             "loaded = sorted(m for m in sys.modules if m.startswith('evenfactor.'))\n"
             "assert loaded == ['evenfactor.graphs'], loaded\n"
         )
-    proc = subprocess.run(
-        [sys.executable, "-c", script],
-        capture_output=True,
-        text=True,
-        env=_subprocess_env(),
-        timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
+    code, _, err = _spawn(["-c", script])
+    assert code == 0, err
 
 
 def test_same_argv_same_stdout(capsys):
@@ -708,14 +852,6 @@ def test_same_argv_same_stdout(capsys):
     code1, out1, _ = run(capsys, argv)
     code2, out2, _ = run(capsys, argv)
     assert (code1, out1) == (code2, out2)
-
-
-def _subprocess_env(**extra) -> dict:
-    """The environment with this checkout's package first on PYTHONPATH."""
-    src = str(Path(evenfactor.__file__).resolve().parents[1])
-    env = dict(os.environ, **extra)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return env
 
 
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
@@ -732,7 +868,7 @@ def _subprocess_env(**extra) -> dict:
 def test_reader_closing_pipe_exits_quietly(argv, stdin, unbuffered):
     env = _subprocess_env(PYTHONUNBUFFERED=unbuffered)
     proc = subprocess.Popen(
-        [sys.executable, "-m", "evenfactor.cli", *argv],
+        [sys.executable, *CLI, *argv],
         stdin=subprocess.PIPE,
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,

@@ -614,10 +614,6 @@ class TestCondition:
             for g, holds in ((core, False), (near, True)):
                 assert check_yan_kano_condition(g).holds == bicritical(g) == holds
 
-    def test_size_cap(self):
-        with pytest.raises(ValueError):
-            check_yan_kano_condition(Graph(25, (0,) * 25))
-
     def test_size_cap_at_even_n(self, monkeypatch):
         def no_matching_work(adj):
             raise AssertionError("the matching test ran past the cap")
