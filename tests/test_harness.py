@@ -139,7 +139,8 @@ class TestLemmaMergeSweep:
 
     def test_printed_bytes_are_pinned(self):
         # every byte `verify lemmas --max-n 14 --max-s 4 --p 1,2` prints on
-        # stdout, all columns; CI compares the command's own stdout with it
+        # stdout, all columns; test_cli.py::test_verify_lemmas compares the
+        # command's own stdout with it
         rep = lemma_merge_sweep(14, 4, [1, 2])
         text = "".join(line + "\n" for line in csv_lines(rep))
         assert hashlib.sha256(text.encode()).hexdigest() == (
