@@ -37,21 +37,21 @@ the bridge check, and in meet in the middle for each half-B element's
 complement and for the half-A index, which the stream builds once half A
 has been searched without a factor.
 
-The Yan-Kano condition o(G-S) < |S| for every |S| >= 2 is decided first by
-an edge bound on the sizes s = |S| that can violate it, edge_threshold(n, s),
-the edge count of the extremal graph at delta = s; when no size is left it
-holds.  Otherwise one predicate decides it at both parities.  Since o(G-S)
-has the parity of n - |S|, the condition says o(G-S) <= |S| - 2 at even n
-and o(G-S) <= |S| - 1 at odd n.  Every S holds some pair u, v; with
-S = T + {u, v}, Tutte's theorem on G - u - v makes that "G - u - v has a
-perfect matching" at even n (G is bicritical; Lovasz and Plummer, Matching
-Theory), and Berge's formula makes it "G - u - v has a matching missing one
-vertex" at odd n, which holds iff G + z - u - v has a perfect matching for
-an apex z joined to every vertex.  The test takes one perfect matching M of
-G, or of G + z, and per pair at most one Edmonds augmenting-path search
-between the two vertices M leaves exposed.  A failing pair does not name the
-witness, the least violating S in bitmask order, so the subset walk over the
-surviving sizes runs only to name a failure's witness.
+The Yan-Kano condition o(G-S) < |S| for every |S| >= 2 holds outright when
+e(G) passes edge_threshold(n, 2), the largest edge bound of a violating
+size (see check_yan_kano_condition).  Otherwise one predicate decides it at
+both parities.  Since o(G-S) has the parity of n - |S|, the condition says
+o(G-S) <= |S| - 2 at even n and o(G-S) <= |S| - 1 at odd n.  Every S holds
+some pair u, v; with S = T + {u, v}, Tutte's theorem on G - u - v makes that
+"G - u - v has a perfect matching" at even n (G is bicritical; Lovasz and
+Plummer, Matching Theory), and Berge's formula makes it "G - u - v has a
+matching missing one vertex" at odd n, which holds iff G + z - u - v has a
+perfect matching for an apex z joined to every vertex.  The test takes one
+perfect matching M of G, or of G + z, and per pair at most one Edmonds
+augmenting-path search between the two vertices M leaves exposed.  A failed
+search names the witness: its |T| + 1 blossoms are odd components of
+G - u - v - T for its inner vertices T, at least |T| + 2 at even order, so
+S = T + {u, v}, less z (always inner), violates the condition.
 """
 
 from __future__ import annotations
@@ -333,75 +333,58 @@ def verify_even_factor(g: Graph, certificate: tuple[Edge, ...]) -> bool:
 
 def check_yan_kano_condition(g: Graph) -> ConditionReport:
     """Test o(G-S) < |S| for every S with |S| >= 2 (the Yan-Kano sufficient
-    condition for an even factor in even-order graphs).  The first violating
-    S in increasing-bitmask order is returned as the witness.
+    condition for an even factor in even-order graphs).
 
     Only sizes 2 <= s <= n/2 can violate (o(G-S) <= n - s), and only those
     whose edge bound edge_threshold(n, s) reaches e(G): G-S must split n-s
     vertices into at least s components, and by convexity of C(k,2) the most
     edges G can then have is C(s,2) + s(n-s) + C(n-2s+1, 2), one part of
     n-2s+1 vertices beside s-1 singletons, all joined to S.  That is
-    C(n-s+1, 2) + s(s-1), the edge count of the extremal graph
-    K_s v (K_{n-2s+1} u (s-1)K_1).  If no size is left the condition holds.
-    Otherwise it holds iff _bicritical(g.adj), the one matching test of the
-    module docstring: every G - u - v has floor((n-2)/2) matched edges, by
-    Berge's formula at odd n, with an apex.  A failure has each surviving size
-    walked in increasing-bitmask order only to name the witness, the least
-    violating mask over all sizes; the edge prune is exact, so one is found.
+    C(n-s+1, 2) + s(s-1), the edge count of K_s v (K_{n-2s+1} u (s-1)K_1),
+    convex in s; s = 2 beats s = n/2 by (n-4)(n-6)/8 at even n and by
+    (n-3)(n-5)/8 at odd n, so past edge_threshold(n, 2) the condition holds.
+    Otherwise _violation(g.adj) decides it; a failure's witness is the least
+    failing pair u, v (or an edge, see there) plus the failed search's inner
+    vertices: a violating S, not always the least one.
     """
     n = g.n
-    if n > 24:
-        raise ValueError(f"condition check capped at 24 vertices, got {n}")
-    e = g.edge_count
-    sizes = [size for size in range(2, n // 2 + 1) if edge_threshold(n, size) >= e]
-    if not sizes or _bicritical(g.adj):
+    if n < 4 or edge_threshold(n, 2) < g.edge_count:
         return ConditionReport(holds=True)
-    full = (1 << n) - 1
-    best: int | None = None
-    best_odd = 0
-    for size in sizes:
-        smask = (1 << size) - 1
-        while smask <= full and (best is None or smask < best):
-            o = sum(c.bit_count() & 1 for c in g.components(full & ~smask))
-            if o >= size:
-                best, best_odd = smask, o
-                break
-            # Gosper's hack: the next larger mask with the same bit count
-            low = smask & -smask
-            ripple = smask + low
-            smask = (((ripple ^ smask) >> 2) // low) | ripple
-    return ConditionReport(
-        holds=False,
-        witness=mask_vertices(best),
-        witness_odd_components=best_odd,
-    )
+    witness = _violation(g.adj)
+    if not witness:
+        return ConditionReport(holds=True)
+    odd = sum(c.bit_count() & 1 for c in g.components((1 << n) - 1 & ~witness))
+    return ConditionReport(False, mask_vertices(witness), odd)
 
 
-def _bicritical(adj: tuple[int, ...]) -> bool:
-    """Whether every G - u - v, u != v, has floor((n-2)/2) matched edges (for
-    n >= 4, where G, or G + z, has a perfect matching).  At odd n (Berge) an
-    apex z joined to every vertex makes it a perfect matching of G + z - u - v."""
+def _violation(adj: tuple[int, ...]) -> int:
+    """0 if every G - u - v, u != v, has floor((n-2)/2) matched edges (for
+    n >= 4), else S: u, v and a failed search's inner vertices in G - u - v,
+    or at odd n (Berge) in G + z - u - v, z an apex joined to every vertex.
+    (u, v) is the least failing pair, or, if G (or G + z) has no perfect
+    matching, G's first edge (uv would complete one), else (0, 1)."""
     pairs = (1 << len(adj)) - 1
     if len(adj) % 2:
         adj = tuple(row | 1 << len(adj) for row in adj) + (pairs,)
     n = len(adj)
-    full = (1 << n) - 1
     # one perfect matching M: greedy, then an augmenting path per exposed vertex
     mate = [-1] * n
-    free = full
+    free = full = (1 << n) - 1
     for v in range(n):
         m = adj[v] & free
         if free >> v & 1 and m:
             u = (m & -m).bit_length() - 1
             mate[v], mate[u] = u, v
             free ^= 1 << v | 1 << u
-    for v in range(n):
-        if mate[v] < 0 and not _augment(adj, mate, v, full):
-            return False
-    # mates_of_neighbours[y]: the mates of y's neighbours, so that
-    # x - a - M(a) - y is an augmenting path for every a in
-    # adj[x] & mates_of_neighbours[y]; once x and y are not adjacent, no
-    # such a is one of u, v, x, y
+    if _augment_all(adj, mate, full) >= 0:
+        u, low = next(
+            ((u, m & -m) for u, row in enumerate(adj) if (m := row & pairs >> (u + 1) << (u + 1))),
+            (0, 2),
+        )
+        return (1 << u | low | _augment_all(adj, [-1] * n, full & ~(1 << u | low))) & pairs
+    # mates_of_neighbours[y]: the mates of y's neighbours, so that x - a -
+    # M(a) - y is an augmenting path for every a in adj[x] &
+    # mates_of_neighbours[y]; with x, y not adjacent no such a is u, v, x, y
     mates_of_neighbours = []
     for row in adj:
         acc = 0
@@ -414,7 +397,7 @@ def _bicritical(adj: tuple[int, ...]) -> bool:
         x = mate[u]
         # M without ux and vy leaves x and y = M(v) exposed in G - u - v.
         # v = x keeps M without uv, and v among the mates of x's neighbours
-        # has the edge xy: only the other v need a path
+        # has the edge xy: only the other v need a path, in increasing order
         pending = pairs >> (u + 1) << (u + 1) & ~(1 << x | mates_of_neighbours[x])
         while pending:
             low = pending & -pending
@@ -425,21 +408,36 @@ def _bicritical(adj: tuple[int, ...]) -> bool:
                 continue
             split = mate[:]
             split[u] = split[v] = split[x] = split[y] = -1
-            if not _augment(adj, split, x, full & ~(1 << u | low)):
-                return False
-    return True
+            inner = _augment(adj, split, x, full & ~(1 << u | low))
+            if inner >= 0:
+                return (1 << u | low | inner) & pairs
+    return 0
 
 
-def _augment(adj: tuple[int, ...], mate: list[int], root: int, alive: int) -> bool:
-    """Edmonds' search for an augmenting path from the exposed vertex root
-    in the subgraph induced by the vertex mask alive; a path found is
-    flipped into mate (mate[v] is v's partner, or -1 when v is exposed)."""
+def _augment_all(adj: tuple[int, ...], mate: list[int], alive: int) -> int:
+    """Augment mate from each exposed vertex of alive: -1 once it is perfect
+    on alive, else the inner vertices of the first search that fails."""
+    for v in mask_vertices(alive):
+        if mate[v] < 0:
+            inner = _augment(adj, mate, v, alive)
+            if inner >= 0:
+                return inner
+    return -1
+
+
+def _augment(adj: tuple[int, ...], mate: list[int], root: int, alive: int) -> int:
+    """Edmonds' search for an augmenting path from the exposed vertex root in
+    the subgraph induced by the vertex mask alive: -1 once a path is flipped
+    into mate (mate[v] is v's partner, or -1), else the mask of its inner
+    vertices T.  Outer vertices then have neighbours only in T and their own
+    blossom, so the |T| + 1 blossoms are odd components of alive minus T."""
     n = len(adj)
     base = list(range(n))
     # parent[v]: v's predecessor on an alternating path from root, set at
     # inner vertices and, inside a blossom, at outer ones too
     parent = [-1] * n
     outer = 1 << root
+    inner = 0
     queue = [root]
 
     def meet(a: int, b: int) -> int:
@@ -487,6 +485,7 @@ def _augment(adj: tuple[int, ...], mate: list[int], root: int, alive: int) -> bo
                             queue.append(i)
             elif parent[to] < 0:
                 parent[to] = v
+                inner |= low
                 if mate[to] < 0:
                     # flip the path from to back to root
                     while to >= 0:
@@ -494,7 +493,8 @@ def _augment(adj: tuple[int, ...], mate: list[int], root: int, alive: int) -> bo
                         nxt = mate[p]
                         mate[to], mate[p] = p, to
                         to = nxt
-                    return True
+                    return -1
                 outer |= 1 << mate[to]
                 queue.append(mate[to])
-    return False
+    # an inner vertex that a blossom took in became outer
+    return inner & ~outer

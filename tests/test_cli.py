@@ -19,7 +19,7 @@ from evenfactor import cli, factor, harness
 from evenfactor.cli import main
 from evenfactor.factor import NOT_EXISTS, ConditionReport, EvenFactorResult
 from evenfactor.graph6 import write_graph6
-from evenfactor.graphs import complete, cycle, extremal
+from evenfactor.graphs import Graph, complete, cycle, extremal, join
 from evenfactor.harness import csv_lines, lemma_merge_sweep, tightness_report
 
 # the interpreter arguments that run the CLI in a child
@@ -206,11 +206,16 @@ def test_check_condition_holds(capsys, g6):
     assert (code, out) == (0, "holds\n")
 
 
-def test_condition_holds_at_odd_n_within_seconds():
+def test_condition_is_decided_within_seconds():
     # a (23, 4) draw 46 edges below e_thr: the matching test decides odd n
-    # too, where the subset walk would take seconds
+    # too, where a subset walk would take seconds
     g6 = r"V`qwkg\qzlJnnNwnnvZq^BqLRTtoU~y|LwQ~le~L~gq_"
     assert _spawn([*CLI, "check", "condition", "--graph6", g6], timeout=5) == (0, "holds\n", "")
+    # K_{12,12} fails first at a side, |S| = 12: the failed matching search
+    # names it, where a subset walk over the sizes up to 12 takes about 25 s
+    g6 = write_graph6(join(Graph.from_edges(12, []), Graph.from_edges(12, [])))
+    line = "violated S=" + ",".join(map(str, range(12))) + " odd_components=12\n"
+    assert _spawn([*CLI, "check", "condition", "--graph6", g6], timeout=5) == (0, line, "")
 
 
 def test_spectral(capsys, monkeypatch):
@@ -404,11 +409,16 @@ def test_usage_error_exits_2(capsys, tmp_path):
     assert code == 2
 
 
-@pytest.mark.parametrize("n", [25, 26])
-def test_condition_cap_holds_at_both_parities(capsys, n):
+@pytest.mark.parametrize(
+    "n, line",
+    # no vertex cap.  At odd n, removing s vertices from C_n leaves at most
+    # s paths, and the number of odd ones has the parity of s + 1: below s
+    [(25, "holds"), (26, "violated S=0,2 odd_components=2")],
+    ids=["25", "26"],
+)
+def test_condition_cap_holds_at_both_parities(capsys, n, line):
     code, out, err = run(capsys, ["check", "condition", "--graph6", write_graph6(cycle(n))])
-    assert (code, out) == (2, "")
-    assert err == f"usage-error: condition check capped at 24 vertices, got {n}\n"
+    assert (code, out, err) == (0, line + "\n", "")
 
 
 @pytest.mark.parametrize("command", [["spectral"], ["verdict"]])
@@ -732,6 +742,14 @@ def test_report_tightness(capsys, tmp_path):
     assert blob["findings"]["extremal_oracle_finding"]["status"] == "exists"
     # the JSON whose bytes test_harness pins
     assert text == json.dumps(tightness_report(8, 2).to_json_dict(), indent=2) + "\n"
+    # past 24 vertices, the first order route 1.1 reaches at delta = 5
+    code, out, _ = run(
+        capsys,
+        ["report", "tightness", "--n", "26", "--delta", "5", "--out", str(out_path)],
+    )
+    assert code == 0
+    assert "checks_passed=5/5" in out
+    assert json.loads(out_path.read_text())["findings"]["condition_witness"] == [0, 1, 2, 3, 4]
 
 
 @pytest.mark.parametrize(

@@ -32,10 +32,14 @@ def test_edge_threshold_values():
 
 
 def test_edge_threshold_equals_construction():
-    # delta up to 12 covers every (n, s) the condition check's prune reads
+    # delta up to 12 covers the orders the condition check's tests reach
     for delta in range(2, 13):
         for n in range(2 * delta, 61):
             assert edge_threshold(n, delta) == extremal(n, delta).edge_count
+    # the condition check's prune reads only s = 2, the largest bound of
+    # any size 2 <= s <= n/2 that can violate the condition
+    for n in range(4, 401):
+        assert max(edge_threshold(n, s) for s in range(2, n // 2 + 1)) == edge_threshold(n, 2)
 
 
 def test_spectral_threshold_values():
