@@ -3,8 +3,8 @@ API; graphs arrive as --graph6, --file, or on stdin (auto-detected between
 graph6 and edge-list text).
 
 Exit codes: 0 success / all pass, 1 verification failure or counterexample,
-2 usage or parameter-domain error, 3 input parse error, 4 cap exceeded where
-a definite answer was required.
+2 usage or parameter-domain error, 3 input parse error, 4 reserved for an
+"unknown" oracle answer, which the oracle no longer gives.
 """
 
 from __future__ import annotations

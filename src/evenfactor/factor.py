@@ -2,12 +2,7 @@
 
 An even factor is a spanning subgraph with every vertex degree even and
 at least 2.  Every all-even-degree edge set is an element of the GF(2)
-cycle space, so existence is a coverage question over that space: find an
-element whose support touches every vertex.  Coverage shrinks under XOR
-(cover(a ^ b) is a subset of cover(a) | cover(b)), which makes a
-meet-in-the-middle split over basis halves sound: any solution splits into
-half-combinations whose covers jointly reach every vertex, so pairing
-half-elements by complementary covers cannot miss one.
+cycle space, so a factor is an element whose support touches every vertex.
 
 Both edges at a degree-2 vertex lie in every even factor.  GF(2)
 elimination on those forced coordinates either proves that no cycle-space
@@ -15,27 +10,28 @@ element contains them all (then no factor exists) or yields an offset x0
 containing them and a basis of the kernel K of elements avoiding them;
 every factor lies in the coset x0 ^ K.  With no degree-2 vertex nothing
 is forced and no elimination runs: K is the whole space and x0 is empty.
-The split stays sound with the offset folded into half A:
-cover(x0 ^ a ^ b) is a subset of cover(x0 ^ a) | cover(b), so a factor
-x0 ^ a ^ b is found by pairing x0 ^ a with b.
 
-The coset is searched as one stream of candidates, its phases in order: a
-full scan when the coset has at most _FULL_ENUM_CAP elements, otherwise a
-seeded pre-pass of probes and then meet in the middle (one stream element
-per half-B element, then one per pair).  One loop charges each candidate
-one against MAX_CANDIDATES, and the first full cover ends the search.
-
+A seeded pre-pass probes the coset, each probe charged one: the offset, its
+single-cycle shifts, the all-cycles element, then pseudorandom combinations.
 Edges are numbered in row order, the order of Graph.edges(), and vertex v's
 incidence mask holds the bits of its edges; in a simple graph the masks of
 u and v share exactly the bit of edge uv, which is how the spanning-forest
-walk finds its tree edges.  Every candidate is charged, then sized: each
-vertex an even subgraph covers has degree at least 2, so a candidate with
-fewer edges than vertices cannot cover them all and is dropped at once.
-Any other takes one full-cover test, which stops at the first vertex whose
-mask it misses.  The whole cover set is computed only where it is used: for
-the bridge check, and in meet in the middle for each half-B element's
-complement and for the half-A index, which the stream builds once half A
-has been searched without a factor.
+walk finds its tree edges.  Each vertex an even subgraph covers has degree
+at least 2, so a probe with fewer edges than vertices cannot cover them all
+and is dropped at once.  Any other takes one full-cover test, which stops
+at the first vertex whose mask it misses.
+
+When no probe covers every vertex, one perfect-matching test decides, also
+charged one.  An even factor is a parity factor whose degree sets have gaps
+of length 1, and Tutte's gadget reduces it to a perfect matching (Lovasz,
+The factorization of graphs II, 1972; Cornuejols, General factors of
+graphs, 1988).  Edge i = uv becomes ports 2i at u and 2i + 1 at v, joined
+to each other; a vertex of degree d >= 2 gets d - 2 inner vertices, joined
+to each other and to all of its ports.  Edge i is in the factor iff its
+ports are matched to each other.  A vertex with f factor edges sends its
+other d - f ports to d - f of its inner vertices, so f >= 2, and the f - 2
+left over pair up, so f is even.  So a perfect matching is an even factor,
+and every even factor gives one.
 
 The Yan-Kano condition o(G-S) < |S| for every |S| >= 2 holds outright when
 e(G) passes edge_threshold(n, 2), the largest edge bound of a violating
@@ -58,7 +54,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import compress, islice
+from itertools import compress
 
 from .graphs import Edge, Graph, mask_vertices
 from .rng import SplitMix64
@@ -69,12 +65,6 @@ NOT_EXISTS = "not_exists"
 UNKNOWN = "unknown"
 
 NAIVE_EDGE_CAP = 24
-# the oracle's caps, read once per call (see has_even_factor)
-MAX_DIM = 40
-MAX_CANDIDATES = 2**30
-
-# below this dimension the whole space is cheaper to scan than to split
-_FULL_ENUM_CAP = 4096
 _PREPASS_PROBES = 512
 _PREPASS_SEED = 0x5EEDC0DE
 
@@ -149,13 +139,10 @@ def _edge_mask_to_cert(mask: int, edges: list[Edge]) -> tuple[Edge, ...]:
 
 
 def has_even_factor(g: Graph) -> EvenFactorResult:
-    """Decide even-factor existence by searching the forced-edge coset.
-
-    Exact within the caps: MAX_DIM bounds the coset dimension the exhaustive
-    phases (full scan, meet in the middle) take on, MAX_CANDIDATES the
-    charge of the module docstring; past either the status is "unknown".
-    """
-    max_dim, max_candidates = MAX_DIM, MAX_CANDIDATES
+    """Decide even-factor existence: the bridge prune, forced-edge
+    elimination, the pre-pass over the forced-edge coset, then Tutte's
+    gadget.  Never "unknown"; search_cost counts the pre-pass probes, plus
+    one when the gadget decides."""
     n = g.n
     if n == 0:
         return EvenFactorResult(EXISTS, (), 0)
@@ -204,41 +191,9 @@ def has_even_factor(g: Graph) -> EvenFactorResult:
         if x0 & forced != forced:
             return EvenFactorResult(NOT_EXISTS, None, 0)
 
-    k = len(kernel)
-
-    def candidates() -> Iterator[int]:
-        if k <= max_dim and 1 << k <= _FULL_ENUM_CAP:
-            # filter drops the empty element, which covers nothing
-            yield from filter(None, _span(x0, kernel))
-            return
-        # cheap deterministic pre-pass; any full-cover hit is already a
-        # factor, so it runs whatever the dimension
-        yield from _prepass_probes(x0, kernel)
-        if k > max_dim:
-            return
-        # meet in the middle over kernel halves, the offset folded into half
-        # A; the offset itself was a pre-pass probe, so it is not charged again
-        k_a = k // 2
-        yield from islice(_span(x0, kernel[:k_a]), 1, None)
-        # no half-A element covers every vertex: index them all by their covers
-        index: dict[int, list[int]] = {}
-        for a in _span(x0, kernel[:k_a]):
-            index.setdefault(cover(a), []).append(a)
-        superset_memo: dict[int, list[list[int]]] = {}
-        for b in _span(0, kernel[k_a:]):
-            yield 0  # charges the half-B element: the empty element covers nothing
-            needed = full & ~cover(b)
-            if needed not in superset_memo:
-                superset_memo[needed] = [v for key, v in index.items() if key & needed == needed]
-            for bucket in superset_memo[needed]:
-                for a in bucket:
-                    yield a ^ b
-
     cost = 0
-    for elem in candidates():
+    for elem in _prepass_probes(x0, kernel):
         cost += 1
-        if cost > max_candidates:
-            return EvenFactorResult(UNKNOWN, None, cost)
         # every vertex an even subgraph covers has degree at least 2, so it
         # covers at most as many vertices as it has edges
         if elem.bit_count() < n:
@@ -249,17 +204,37 @@ def has_even_factor(g: Graph) -> EvenFactorResult:
                 break
         else:
             return EvenFactorResult(EXISTS, _edge_mask_to_cert(elem, edges), cost)
-    # the stream ran out; past MAX_DIM it held only the pre-pass's probes
-    return EvenFactorResult(UNKNOWN if k > max_dim else NOT_EXISTS, None, cost)
+    # the bridge prune left every degree at least 2, as the gadget needs
+    cert = _gadget_factor(g)
+    return EvenFactorResult(NOT_EXISTS if cert is None else EXISTS, cert, cost + 1)
 
 
-def _span(offset: int, basis: list[int]) -> Iterator[int]:
-    """offset ^ every combination of basis, in Gray-code order from offset."""
-    cur = offset
-    yield cur
-    for i in range(1, 1 << len(basis)):
-        cur ^= basis[(i & -i).bit_length() - 1]
-        yield cur
+def _gadget_factor(g: Graph) -> tuple[Edge, ...] | None:
+    """An even factor of g read off a perfect matching of Tutte's gadget (see
+    the module docstring), or None if it has none.  g has minimum degree at
+    least 2."""
+    edges = g.edges()
+    ports = [0] * g.n
+    for i, (u, v) in enumerate(edges):
+        ports[u] |= 1 << 2 * i
+        ports[v] |= 2 << 2 * i
+    # inner vertices are numbered after the ports, vertex by vertex; inner[v]
+    # holds v's
+    top = 2 * len(edges)
+    inner, inner_rows = [], []
+    for p in ports:
+        d = p.bit_count()
+        clique = (1 << d - 2) - 1 << top
+        inner.append(clique)
+        inner_rows += [p | clique ^ 1 << w for w in range(top, top + d - 2)]
+        top += d - 2
+    rows = []
+    for i, (u, v) in enumerate(edges):
+        rows += [2 << 2 * i | inner[u], 1 << 2 * i | inner[v]]
+    mate, failed = _perfect_matching(tuple(rows + inner_rows))
+    if failed >= 0:
+        return None
+    return tuple(e for i, e in enumerate(edges) if mate[2 * i] == 2 * i + 1)
 
 
 def _prepass_probes(x0: int, kernel: list[int]) -> Iterator[int]:
@@ -367,16 +342,9 @@ def _violation(adj: tuple[int, ...]) -> int:
     if len(adj) % 2:
         adj = tuple(row | 1 << len(adj) for row in adj) + (pairs,)
     n = len(adj)
-    # one perfect matching M: greedy, then an augmenting path per exposed vertex
-    mate = [-1] * n
-    free = full = (1 << n) - 1
-    for v in range(n):
-        m = adj[v] & free
-        if free >> v & 1 and m:
-            u = (m & -m).bit_length() - 1
-            mate[v], mate[u] = u, v
-            free ^= 1 << v | 1 << u
-    if _augment_all(adj, mate, full) >= 0:
+    full = (1 << n) - 1
+    mate, failed = _perfect_matching(adj)
+    if failed >= 0:
         u, low = next(
             ((u, m & -m) for u, row in enumerate(adj) if (m := row & pairs >> (u + 1) << (u + 1))),
             (0, 2),
@@ -412,6 +380,21 @@ def _violation(adj: tuple[int, ...]) -> int:
             if inner >= 0:
                 return (1 << u | low | inner) & pairs
     return 0
+
+
+def _perfect_matching(adj: tuple[int, ...]) -> tuple[list[int], int]:
+    """A matching of adj, greedy and then augmented from each exposed vertex:
+    its mates (mate[v] is v's partner, or -1), and -1 once it is perfect,
+    else the inner vertices of the first search that fails."""
+    mate = [-1] * len(adj)
+    free = full = (1 << len(adj)) - 1
+    for v, row in enumerate(adj):
+        m = row & free
+        if free >> v & 1 and m:
+            u = (m & -m).bit_length() - 1
+            mate[v], mate[u] = u, v
+            free ^= 1 << v | 1 << u
+    return mate, _augment_all(adj, mate, full)
 
 
 def _augment_all(adj: tuple[int, ...], mate: list[int], alive: int) -> int:

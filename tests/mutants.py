@@ -1,0 +1,104 @@
+"""Run the tier-1 suite against one-line mutants of the package.
+
+Each MUTANTS entry names a file, a line exactly as it stands there, the
+line that replaces it, and the test expected to fail.  Per entry the script
+copies src/ and tests/ to a temporary directory, applies the replacement
+there and runs `python -m pytest -x -q` on the copy.  A mutant is killed
+when the suite fails.  The checkout itself is never written.
+
+    python tests/mutants.py
+
+prints one line per mutant and exits 1 if any survives.  Pytest does not
+collect this file: its name does not start with test_.
+"""
+
+from __future__ import annotations
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# (file, old line, new line, expected killer)
+MUTANTS = [
+    (
+        "src/evenfactor/thresholds.py",
+        "                meets_edge = e_g >= e_thr",
+        "                meets_edge = e_g >= e_thr - 1",
+        "tests/test_thresholds.py::TestVerdict::test_one_edge_below_the_threshold",
+    ),
+    (
+        "src/evenfactor/thresholds.py",
+        "                meets_rho = meets_spectral(rho_g, rho_thr)",
+        "                meets_rho = meets_spectral(rho_g, rho_thr - 0.05)",
+        "tests/test_thresholds.py::TestVerdict::test_just_below_the_spectral_threshold",
+    ),
+    (
+        "src/evenfactor/thresholds.py",
+        "        return n % 2 == 0 and n >= spectral_route_floor(delta)",
+        "        return n >= spectral_route_floor(delta)",
+        "tests/test_thresholds.py::test_applicability",
+    ),
+    # the gadget without the clique among its inner vertices decides
+    # 2-factors, not even factors
+    (
+        "src/evenfactor/factor.py",
+        "        inner_rows += [p | clique ^ 1 << w for w in range(top, top + d - 2)]",
+        "        inner_rows += [p for w in range(top, top + d - 2)]",
+        "tests/test_factor.py::TestGadget::test_agrees_with_the_naive_oracle",
+    ),
+    # the factor read off the ports matched to inner vertices instead; the
+    # certificate pin runs before the gadget's own tests
+    (
+        "src/evenfactor/factor.py",
+        "    return tuple(e for i, e in enumerate(edges) if mate[2 * i] == 2 * i + 1)",
+        "    return tuple(e for i, e in enumerate(edges) if mate[2 * i] != 2 * i + 1)",
+        "tests/test_cli.py::test_stdout_is_pinned[three-petersen]",
+    ),
+]
+
+
+def run_mutant(path: str, old: str, new: str) -> str | None:
+    """The first failing test id of the suite run on a mutated copy, or
+    None if the whole suite passes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp)
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, copy / part, ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy(ROOT / "pyproject.toml", copy)
+        target = copy / path
+        lines = target.read_text().split("\n")
+        if lines.count(old) != 1:
+            raise SystemExit(f"{path}: line not found exactly once: {old.strip()!r}")
+        lines[lines.index(old)] = new
+        target.write_text("\n".join(lines))
+        env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"],
+            cwd=copy, env=env, capture_output=True, text=True,
+        )
+    if proc.returncode == 0:
+        return None
+    failed = re.search(r"^(?:FAILED|ERROR) (\S+)", proc.stdout, re.MULTILINE)
+    return failed.group(1) if failed else f"exit {proc.returncode}"
+
+
+def main() -> int:
+    killed = 0
+    for path, old, new, expected in MUTANTS:
+        failed = run_mutant(path, old, new)
+        killed += failed is not None
+        verdict = "survived" if failed is None else f"killed by {failed}"
+        note = "" if failed in (None, expected) else f" (expected {expected})"
+        print(f"{path}: {new.strip()!r}: {verdict}{note}", flush=True)
+    print(f"killed {killed} of {len(MUTANTS)}")
+    return 0 if killed == len(MUTANTS) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -15,9 +15,9 @@ from pathlib import Path
 import pytest
 
 import evenfactor
-from evenfactor import cli, factor, harness
+from evenfactor import cli, harness
 from evenfactor.cli import main
-from evenfactor.factor import NOT_EXISTS, ConditionReport, EvenFactorResult
+from evenfactor.factor import NOT_EXISTS, UNKNOWN, ConditionReport, EvenFactorResult
 from evenfactor.graph6 import write_graph6
 from evenfactor.graphs import Graph, complete, cycle, extremal, join
 from evenfactor.harness import csv_lines, lemma_merge_sweep, tightness_report
@@ -133,22 +133,32 @@ def test_pipeline_check_even_factor(capsys, monkeypatch):
 
 
 def test_meet_in_the_middle_without_a_factor(capsys):
-    # H7 beside K_7 has no even factor
+    # H7 beside K_7 has no even factor, which meet in the middle (since
+    # removed) had to decide; the gadget decides after 529 pre-pass probes
     code, out, err = run(capsys, ["check", "even-factor", "--graph6", "MYMGg?@?WB_N?^?^_"])
-    assert (code, out, err) == (0, "not_exists\ncost 912\n", "")
+    assert (code, out, err) == (0, "not_exists\ncost 530\n", "")
+
+
+def test_h7_beside_k12_is_decided(capsys):
+    # H7 beside K_12: before the gadget, the oracle's dimension cap made
+    # this "unknown" at cost 569, with exit 4
+    code, out, err = run(
+        capsys, ["check", "even-factor", "--graph6", "RYMGg?@?WB_N?^?^_NwB~?^{@~wB~w"]
+    )
+    assert (code, out, err) == (0, "not_exists\ncost 570\n", "")
 
 
 @pytest.mark.parametrize(
     "argv, digest",
     [
-        # three Petersen graphs have an even factor, found in the middle:
-        # every certificate line
+        # three Petersen graphs have an even factor, read off the gadget's
+        # perfect matching: every certificate line
         (
             [
                 "check", "even-factor", "--graph6",
                 "]heA@GUAo??@?@??_@G?O?@??AO?Ao?@W??????G???_??@???H???G???A????Q???@W???Ao",
             ],
-            "e6be3472ab1683a380a0d2a5a2be96ac7dbc7e6b6a62b93070cb43581dee5018",
+            "f360180e4bf03c3c5072fb30d7f4fab2e2529c929b8d5b290a95739915a7e71c",
         ),
         # a larger identity grid than the default: delta up to 12, 101,945 checks
         (
@@ -165,8 +175,8 @@ def test_stdout_is_pinned(capsys, argv, digest):
 
 
 def test_check_even_factor_unknown_exits_4(capsys, monkeypatch):
-    # no even factor, forced-edge coset of dimension 6
-    monkeypatch.setattr(factor, "MAX_DIM", 5)
+    # the oracle never answers "unknown"; exit 4 is kept for one that does
+    monkeypatch.setattr(cli, "has_even_factor", lambda g: EvenFactorResult(UNKNOWN, None, 520))
     code, out, _ = run(capsys, ["check", "even-factor", "--graph6", "KYMGg?@?WB_N"])
     assert code == 4
     assert out.splitlines()[0] == "unknown"
@@ -588,7 +598,7 @@ def test_sweep_soundness(capsys, tmp_path):
 @pytest.mark.parametrize(
     "argv, digest",
     [
-        # the oracle runs the pre-pass past MAX_DIM
+        # every row is decided by the oracle's pre-pass
         (
             ["--n", "44", "--delta", "8", "--samples", "50", "--seed", "7"],
             "da379d1d6dda72bd09269cdb30056879ef8d94dd5c535e6dcdfb5ba5e2f4fb93",
@@ -639,7 +649,8 @@ def test_sweep_pinned_to_one_cpu_keeps_its_rows(capsys, tmp_path):
 
 
 def test_sweep_unknown_rows_exit_4(capsys, monkeypatch, tmp_path):
-    monkeypatch.setattr(factor, "MAX_CANDIDATES", 0)
+    # the oracle never answers "unknown"; the tally and exit 4 are kept
+    monkeypatch.setattr(harness, "has_even_factor", lambda g: EvenFactorResult(UNKNOWN, None, 1))
     code, out, _ = run(
         capsys,
         [

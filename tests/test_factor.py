@@ -12,7 +12,6 @@ from evenfactor import factor
 from evenfactor.factor import (
     EXISTS,
     NOT_EXISTS,
-    UNKNOWN,
     check_yan_kano_condition,
     cycle_space_basis,
     has_even_factor,
@@ -295,14 +294,11 @@ class TestOracle:
         )
         assert has_even_factor(g).status == NOT_EXISTS
 
-    def test_dim_cap_reports_unknown(self, monkeypatch):
-        # no factor (H7's vertex 4 is cut off by forced edges); the coset has
-        # dimension 6, so the exhaustive phases are past the cap
-        g = disjoint_union([H7, complete(5)])
-        assert has_even_factor(g).status == NOT_EXISTS
-        monkeypatch.setattr(factor, "MAX_DIM", 5)
-        res = has_even_factor(g)
-        assert (res.status, res.search_cost) == (UNKNOWN, 520)
+    def test_h7_beside_k5_is_decided_by_the_gadget(self):
+        # no factor (H7's vertex 4 is cut off by forced edges); all 520
+        # pre-pass probes of the dimension-6 coset miss, and the gadget decides
+        res = has_even_factor(disjoint_union([H7, complete(5)]))
+        assert (res.status, res.certificate, res.search_cost) == (NOT_EXISTS, None, 521)
 
     def test_k23_has_no_even_factor(self):
         # every vertex sits on a cycle, min degree 2, yet no even spanning
@@ -311,16 +307,12 @@ class TestOracle:
         assert has_even_factor(k23).status == NOT_EXISTS
         assert has_even_factor_naive(k23).status == NOT_EXISTS
 
-    def test_candidate_cap_reports_unknown(self, monkeypatch):
-        # K_32's coset is past MAX_DIM: its 467th pre-pass probe covers
+    def test_k32_is_decided_by_a_prepass_probe(self):
+        # the 467th pre-pass probe of K_32's dimension-465 coset covers
         k32 = complete(32)
         res = has_even_factor(k32)
         assert (res.status, res.search_cost) == (EXISTS, 467)
-        # the cap stops the full scan, and the pre-pass one probe short
-        for g, cap in ((disjoint_union([H7, complete(5)]), 2), (k32, 466)):
-            monkeypatch.setattr(factor, "MAX_CANDIDATES", cap)
-            res = has_even_factor(g)
-            assert (res.status, res.search_cost) == (UNKNOWN, cap + 1)
+        assert verify_even_factor(k32, res.certificate)
 
 
 class TestNaiveOracle:
@@ -391,9 +383,9 @@ class TestOracleAgreement:
         assert grown > 20
 
 
-# coset dimensions 18, 15, 15 and 21: past the full scan, and every
-# pre-pass probe misses, so meet in the middle decides each one
-MITM_PARTS = [
+# coset dimensions 18, 15, 15 and 21: every pre-pass probe misses, so the
+# gadget decides each one
+GADGET_PARTS = [
     [PETERSEN, PETERSEN, PETERSEN],
     [PETERSEN, PETERSEN, complete(4)],
     [H7, complete(7)],
@@ -401,17 +393,57 @@ MITM_PARTS = [
 ]
 
 
-class TestMeetInTheMiddle:
+def tutte_gadget_has_perfect_matching(g):
+    """The gadget of the module docstring in networkx, decided by its
+    maximum-cardinality matching: an answer independent of the oracle's
+    bitmask rows and its Edmonds search."""
+    import networkx as nx
+
+    gadget = nx.Graph()
+    for u, v in g.edges():
+        gadget.add_edge(("port", u, v), ("port", v, u))
+    for v in range(g.n):
+        ports = [("port", v, u) for u in range(g.n) if g.has_edge(u, v)]
+        d = len(ports)
+        inner = [("inner", v, j) for j in range(d - 2)]
+        gadget.add_edges_from((w, p) for w in inner for p in ports)
+        gadget.add_edges_from((a, b) for i, a in enumerate(inner) for b in inner[i + 1 :])
+    matching = nx.max_weight_matching(gadget, maxcardinality=True)
+    return 2 * len(matching) == gadget.number_of_nodes()
+
+
+def min_degree_2_corpus():
+    """300 graphs of minimum degree at least 2 and at most 16 edges: random
+    cores with some edges subdivided, whose forced paths often leave no
+    factor."""
+    rng = SplitMix64(4545)
+    graphs = []
+    while len(graphs) < 300:
+        n = 4 + rng.randrange(4)
+        m = n + rng.randrange(min(8, n * (n - 3) // 2) + 1)
+        edges = random_graph_with_edges(n, m, rng).edges()
+        for _ in range(rng.randrange(min(m, 16 - m) + 1)):
+            u, v = edges.pop(rng.randrange(len(edges)))
+            edges += [(u, n), (v, n)]
+            n += 1
+        g = Graph.from_edges(n, edges)
+        if min(g.degrees()) >= 2:
+            graphs.append(g)
+    return graphs
+
+
+class TestGadget:
     @pytest.mark.parametrize(
         "parts, status, cost",
         [
-            (MITM_PARTS[0], EXISTS, 1228),
-            (MITM_PARTS[1], EXISTS, 738),
-            (MITM_PARTS[2], NOT_EXISTS, 912),
-            (MITM_PARTS[3], NOT_EXISTS, 3606),
+            (GADGET_PARTS[0], EXISTS, 532),
+            (GADGET_PARTS[1], EXISTS, 529),
+            (GADGET_PARTS[2], NOT_EXISTS, 530),
+            (GADGET_PARTS[3], NOT_EXISTS, 536),
         ],
     )
-    def test_pinned_result_and_cost(self, monkeypatch, parts, status, cost):
+    def test_pinned_result_and_cost(self, parts, status, cost):
+        # every pre-pass probe is charged, and the gadget one more
         g = disjoint_union(parts)
         res = has_even_factor(g)
         assert (res.status, res.search_cost) == (status, cost)
@@ -419,24 +451,38 @@ class TestMeetInTheMiddle:
             assert verify_even_factor(g, res.certificate)
         else:
             assert res.certificate is None
-        monkeypatch.setattr(factor, "MAX_CANDIDATES", cost - 1)
-        capped = has_even_factor(g)
-        assert (capped.status, capped.search_cost) == (UNKNOWN, cost)
 
-    @pytest.mark.parametrize("n, cost", [(5, 5), (6, 10)])
-    def test_exit_from_half_a(self, monkeypatch, n, cost):
-        # with no full scan and no pre-pass, a factor met while half A is
-        # indexed ends the search before any pair is formed
-        monkeypatch.setattr(factor, "_FULL_ENUM_CAP", 1)
-        monkeypatch.setattr(factor, "_prepass_probes", lambda x0, kernel: iter(()))
-        g = complete(n)
+    def test_agrees_with_the_naive_oracle(self):
+        # the gadget alone, without the bridge prune, elimination or pre-pass
+        found = 0
+        for g in min_degree_2_corpus():
+            cert = factor._gadget_factor(g)
+            assert (cert is not None) == (has_even_factor_naive(g).status == EXISTS)
+            if cert is not None:
+                assert verify_even_factor(g, cert)
+                found += 1
+        # the other 29 have no factor
+        assert found == 271
+
+    @pytest.mark.parametrize(
+        "parts",
+        [
+            # GADGET_PARTS[2:] are H7 beside K_7 and K_8, among the H7 unions
+            *GADGET_PARTS[:2],
+            *[[H7, complete(m)] for m in range(5, 17)],
+            # dense, with a factor that no pre-pass probe finds
+            [PETERSEN, PETERSEN, PETERSEN, complete(20)],
+        ],
+        ids=["3-petersen", "2-petersen-k4", *[f"h7-k{m}" for m in range(5, 17)], "3-petersen-k20"],
+    )
+    def test_agrees_with_a_networkx_matching(self, parts):
+        g = disjoint_union(parts)
         res = has_even_factor(g)
-        assert (res.status, res.search_cost) == (EXISTS, cost)
-        assert verify_even_factor(g, res.certificate)
-        # one candidate short, half A stops at the cap
-        monkeypatch.setattr(factor, "MAX_CANDIDATES", cost - 1)
-        capped = has_even_factor(g)
-        assert (capped.status, capped.search_cost) == (UNKNOWN, cost)
+        assert (res.status == EXISTS) == tutte_gadget_has_perfect_matching(g)
+        if res.status == EXISTS:
+            assert verify_even_factor(g, res.certificate)
+        else:
+            assert (res.status, res.certificate) == (NOT_EXISTS, None)
 
 
 def parity_gadget(q, k):
@@ -475,18 +521,18 @@ class TestForcedEdges:
 
 def test_oracle_results_are_pinned():
     # status, cost and certificate over a corpus that reaches every phase:
-    # the forest corpus (bridge prune, forced parity, full scan, pre-pass),
-    # parity gadgets, the meet-in-the-middle unions, and K_32, whose coset
-    # dimension 465 is past MAX_DIM, so only the pre-pass can decide it
+    # the forest corpus (bridge prune, forced parity, pre-pass, gadget),
+    # parity gadgets, the unions only the gadget decides, and K_32, whose
+    # coset has dimension 465
     graphs = forest_corpus()
     graphs += [parity_gadget(q, k) for q in range(4, 10) for k in range(2, 6)]
-    graphs += [disjoint_union(parts) for parts in MITM_PARTS]
+    graphs += [disjoint_union(parts) for parts in GADGET_PARTS]
     graphs.append(complete(32))
     lines = "".join(
         f"{r.status}|{r.search_cost}|{r.certificate}\n" for r in map(has_even_factor, graphs)
     )
     assert hashlib.sha256(lines.encode()).hexdigest() == (
-        "0dce687630193a75bedea83b2b6c7e661ac53bebf2085087dc220653210f4c78"
+        "32a6a98bfd59459299e3ef541423d01e803562e084693049124949a958d8782c"
     )
 
 

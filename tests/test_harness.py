@@ -309,8 +309,8 @@ class TestSoundnessSweep:
         ],
     )
     def test_rows_at_a_large_kernel_are_pinned(self, which, expected):
-        # at (32, 6) every coset dimension is past MAX_DIM, so each row is
-        # decided by the oracle's pre-pass alone
+        # at (32, 6) every coset dimension is at least 400, and each row is
+        # decided by the oracle's pre-pass
         rep = soundness_sweep(ns=[32], delta=6, samples=50, seed=7, which=which)
         assert len(rep.rows) == 50
         assert digest(rows_without_timing(rep)) == expected

@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from evenfactor.graphs import build_family, complete, cycle, disjoint_union, extremal, FamilySpec
+from evenfactor.factor import check_yan_kano_condition
+from evenfactor.graph6 import parse_graph6
+from evenfactor.graphs import build_family, complete, cycle, disjoint_union, extremal, FamilySpec, join
 from evenfactor.rng import SplitMix64
 from evenfactor.spectral import RootFindingError, char_poly, spectral_radius, split_quotient
 from evenfactor.thresholds import (
@@ -149,6 +151,7 @@ def test_applicability():
     assert applicability(8, 2, "1.1") is True
     assert applicability(7, 2, "1.1") is False  # odd order
     assert applicability(8, 2, "1.2") is True
+    assert applicability(9, 2, "1.2") is False  # odd order
     assert applicability(6, 2, "1.2") is False  # 6 < 5*2-3+... = 7
     assert applicability(12, 3, "1.1") is False  # 12 < 14
     assert applicability(14, 3, "1.1") is True
@@ -294,6 +297,25 @@ class TestVerdict:
         assert vd.e_G == 24 and vd.edge_threshold == 23
         assert not vd.is_extremal
         assert vd.guarantee == GUARANTEED_BY_EDGES
+
+    def test_one_edge_below_the_threshold(self):
+        # extremal(8, 2) less one edge of its K_5: one edge short of e_thr,
+        # and the condition fails, so no route may fire
+        g = parse_graph6("G~~~u?")
+        vd = verdict(g)
+        assert (vd.e_G, vd.edge_threshold, vd.meets_edge) == (22, 23, False)
+        assert not check_yan_kano_condition(g).holds
+        assert vd.guarantee == NO_GUARANTEE
+
+    def test_just_below_the_spectral_threshold(self):
+        # K_2 v (K_51 u K_3): rho 52.0045 against rho_thr 52.0175, and the
+        # condition fails
+        g = join(complete(2), disjoint_union([complete(51), complete(3)]))
+        vd = verdict(g, which="spectral")
+        assert vd.thm12_applicable
+        assert vd.rho_G < vd.spectral_threshold - 0.01
+        assert not check_yan_kano_condition(g).holds
+        assert vd.guarantee == NO_GUARANTEE
 
     def test_which_edges_skips_rho(self):
         vd = verdict(extremal(8, 2), which="edges")
