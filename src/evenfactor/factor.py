@@ -2,30 +2,33 @@
 
 An even factor is a spanning subgraph with every vertex degree even and
 at least 2.  Every all-even-degree edge set is an element of the GF(2)
-cycle space, so a factor is an element whose support touches every vertex.
-
-Both edges at a degree-2 vertex lie in every even factor.  GF(2)
-elimination on those forced coordinates either proves that no cycle-space
-element contains them all (then no factor exists) or yields an offset x0
-containing them and a basis of the kernel K of elements avoiding them;
-every factor lies in the coset x0 ^ K.  With no degree-2 vertex nothing
-is forced and no elimination runs: K is the whole space and x0 is empty.
-
-A seeded pre-pass probes the coset, each probe charged one: the offset, its
-single-cycle shifts, the all-cycles element, then pseudorandom combinations.
-Edges are numbered in row order, the order of Graph.edges(), and vertex v's
+cycle space, so a vertex on no cycle rules a factor out: the bridge prune
+looks for a vertex on no fundamental cycle of a spanning forest.  Edges are
+numbered in row order, the order of Graph.edges(), and vertex v's
 incidence mask holds the bits of its edges; in a simple graph the masks of
 u and v share exactly the bit of edge uv, which is how the spanning-forest
-walk finds its tree edges.  Each vertex an even subgraph covers has degree
-at least 2, so a probe with fewer edges than vertices cannot cover them all
-and is dropped at once.  Any other takes one full-cover test, which stops
-at the first vertex whose mask it misses.
+walk finds its tree edges.
 
-When no probe covers every vertex, one perfect-matching test decides, also
-charged one.  An even factor is a parity factor whose degree sets have gaps
-of length 1, and Tutte's gadget reduces it to a perfect matching (Lovasz,
-The factorization of graphs II, 1972; Cornuejols, General factors of
-graphs, 1988).  Edge i = uv becomes ports 2i at u and 2i + 1 at v, joined
+Both edges at a degree-2 vertex lie in every even factor; call these edges
+F.  An even subgraph containing F exists iff every component of G - F
+holds an even number of vertices of odd F-degree, since the rest of it is
+a T-join of G - F for those vertices T (Edmonds and Johnson, Matching,
+Euler tours and the Chinese postman, Math. Programming 5, 1973).  In each
+component the vertices of odd F-degree and those of odd degree in G have
+the same count mod 2, because degrees in G - F sum to an even number, so
+the test counts G's odd-degree vertices.  With no degree-2 vertex nothing
+is forced and the parity test does not run.
+
+Once every degree is at least 2, G minus a perfect matching of its
+odd-degree vertices is an even factor: each odd vertex loses one edge and
+keeps at least 2.  One perfect-matching test on the subgraph the
+odd-degree vertices induce looks for such a matching.
+
+When there is none, one perfect-matching test on Tutte's gadget decides.
+An even factor is a parity factor whose degree sets have gaps of length 1,
+and Tutte's gadget reduces it to a perfect matching (Lovasz, The
+factorization of graphs II, 1972; Cornuejols, General factors of graphs,
+1988).  Edge i = uv becomes ports 2i at u and 2i + 1 at v, joined
 to each other; a vertex of degree d >= 2 gets d - 2 inner vertices, joined
 to each other and to all of its ports.  Edge i is in the factor iff its
 ports are matched to each other.  A vertex with f factor edges sends its
@@ -52,12 +55,10 @@ S = T + {u, v}, less z (always inner), violates the condition.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import compress
 
 from .graphs import Edge, Graph, mask_vertices
-from .rng import SplitMix64
 from .thresholds import edge_threshold
 
 EXISTS = "exists"
@@ -65,8 +66,6 @@ NOT_EXISTS = "not_exists"
 UNKNOWN = "unknown"
 
 NAIVE_EDGE_CAP = 24
-_PREPASS_PROBES = 512
-_PREPASS_SEED = 0x5EEDC0DE
 
 
 @dataclass(frozen=True)
@@ -130,19 +129,16 @@ def cycle_space_basis(g: Graph) -> list[frozenset[Edge]]:
     """Fundamental cycles of a spanning forest: a basis of the cycle space,
     m - n + c elements, every one with all vertex degrees even."""
     edges, _, basis = _forest(g)
-    return [frozenset(_edge_mask_to_cert(mask, edges)) for mask in basis]
-
-
-def _edge_mask_to_cert(mask: int, edges: list[Edge]) -> tuple[Edge, ...]:
-    # the mask's binary digits, lowest first, select the edges
-    return tuple(compress(edges, map(int, bin(mask)[:1:-1])))
+    # each mask's binary digits, lowest first, select the edges
+    return [frozenset(compress(edges, map(int, bin(mask)[:1:-1]))) for mask in basis]
 
 
 def has_even_factor(g: Graph) -> EvenFactorResult:
-    """Decide even-factor existence: the bridge prune, forced-edge
-    elimination, the pre-pass over the forced-edge coset, then Tutte's
-    gadget.  Never "unknown"; search_cost counts the pre-pass probes, plus
-    one when the gadget decides."""
+    """Decide even-factor existence: the bridge prune, the forced-edge parity
+    test, a perfect matching of the odd-degree vertices, then Tutte's
+    gadget.  Never "unknown"; search_cost counts the perfect-matching tests
+    run: 0 when a prune decides, 1 for the odd-degree matching, 2 for the
+    gadget."""
     n = g.n
     if n == 0:
         return EvenFactorResult(EXISTS, (), 0)
@@ -164,49 +160,25 @@ def has_even_factor(g: Graph) -> EvenFactorResult:
     if union != full:
         return EvenFactorResult(NOT_EXISTS, None, 0)
 
-    # both edges at a degree-2 vertex lie in every even factor, so the search
-    # narrows to the coset x0 ^ span(kernel) of elements containing them all
-    forced = 0
-    for v in range(n):
-        if g.adj[v].bit_count() == 2:
-            forced |= incident[v]
-    # with nothing forced the coset is the whole space: no elimination
-    kernel = basis
-    x0 = 0
-    if forced:
-        pivots: list[tuple[int, int]] = []
-        kernel = []
-        for b in basis:
-            for p, row in pivots:
-                if b & p:
-                    b ^= row
-            r = b & forced
-            if r:
-                pivots.append((r & -r, b))
-            else:
-                kernel.append(b)
-        for p, row in pivots:
-            if ~x0 & p:
-                x0 ^= row
-        if x0 & forced != forced:
-            return EvenFactorResult(NOT_EXISTS, None, 0)
+    # the edges F at degree-2 vertices lie in every even factor, and the rest
+    # of a factor is a T-join of G - F for T the vertices of odd F-degree:
+    # one exists iff each component of G - F holds an even number of them.
+    # A degree-2 vertex is a component of its own, with F-degree 2; off
+    # them G - F is G's induced subgraph, where a component holds as many
+    # vertices of odd F-degree as of odd degree, mod 2 (handshake lemma).
+    # With no degree-2 vertex that count is even in every component of G
+    odd = sum(1 << v for v, row in enumerate(g.adj) if row.bit_count() & 1)
+    two = sum(1 << v for v, row in enumerate(g.adj) if row.bit_count() == 2)
+    if two and any((c & odd).bit_count() & 1 for c in g.components(full & ~two)):
+        return EvenFactorResult(NOT_EXISTS, None, 0)
 
-    cost = 0
-    for elem in _prepass_probes(x0, kernel):
-        cost += 1
-        # every vertex an even subgraph covers has degree at least 2, so it
-        # covers at most as many vertices as it has edges
-        if elem.bit_count() < n:
-            continue
-        # no cover needed: stop at the first vertex elem leaves uncovered
-        for inc in incident:
-            if not elem & inc:
-                break
-        else:
-            return EvenFactorResult(EXISTS, _edge_mask_to_cert(elem, edges), cost)
-    # the bridge prune left every degree at least 2, as the gadget needs
+    # the bridge prune left every degree at least 2, so removing a perfect
+    # matching of the odd-degree vertices leaves an even factor
+    mate, failed = _perfect_matching(g.adj, odd)
+    if failed < 0:
+        return EvenFactorResult(EXISTS, tuple((u, v) for u, v in edges if mate[u] != v), 1)
     cert = _gadget_factor(g)
-    return EvenFactorResult(NOT_EXISTS if cert is None else EXISTS, cert, cost + 1)
+    return EvenFactorResult(NOT_EXISTS if cert is None else EXISTS, cert, 2)
 
 
 def _gadget_factor(g: Graph) -> tuple[Edge, ...] | None:
@@ -231,34 +203,10 @@ def _gadget_factor(g: Graph) -> tuple[Edge, ...] | None:
     rows = []
     for i, (u, v) in enumerate(edges):
         rows += [2 << 2 * i | inner[u], 1 << 2 * i | inner[v]]
-    mate, failed = _perfect_matching(tuple(rows + inner_rows))
+    mate, failed = _perfect_matching(tuple(rows + inner_rows), (1 << top) - 1)
     if failed >= 0:
         return None
     return tuple(e for i, e in enumerate(edges) if mate[2 * i] == 2 * i + 1)
-
-
-def _prepass_probes(x0: int, kernel: list[int]) -> Iterator[int]:
-    """The offset, its single-cycle shifts, the all-cycles element, then
-    pseudorandom combinations, each built only when asked for."""
-    if x0:
-        yield x0
-    all_mask = x0
-    for b in kernel:
-        yield x0 ^ b
-        all_mask ^= b
-    yield all_mask
-    rng = SplitMix64(_PREPASS_SEED)
-    width = (1 << len(kernel)) - 1
-    words = (len(kernel) + 63) // 64
-    for _ in range(_PREPASS_PROBES):
-        # one 64-bit word per 64 kernel cycles, the first word lowest
-        sel = sum(rng.next_u64() << (64 * i) for i in range(words)) & width
-        elem = x0
-        while sel:
-            low = sel & -sel
-            elem ^= kernel[low.bit_length() - 1]
-            sel ^= low
-        yield elem
 
 
 def has_even_factor_naive(g: Graph) -> EvenFactorResult:
@@ -343,7 +291,7 @@ def _violation(adj: tuple[int, ...]) -> int:
         adj = tuple(row | 1 << len(adj) for row in adj) + (pairs,)
     n = len(adj)
     full = (1 << n) - 1
-    mate, failed = _perfect_matching(adj)
+    mate, failed = _perfect_matching(adj, full)
     if failed >= 0:
         u, low = next(
             ((u, m & -m) for u, row in enumerate(adj) if (m := row & pairs >> (u + 1) << (u + 1))),
@@ -382,19 +330,20 @@ def _violation(adj: tuple[int, ...]) -> int:
     return 0
 
 
-def _perfect_matching(adj: tuple[int, ...]) -> tuple[list[int], int]:
-    """A matching of adj, greedy and then augmented from each exposed vertex:
-    its mates (mate[v] is v's partner, or -1), and -1 once it is perfect,
-    else the inner vertices of the first search that fails."""
+def _perfect_matching(adj: tuple[int, ...], alive: int) -> tuple[list[int], int]:
+    """A matching of adj inside the vertex mask alive, greedy and then
+    augmented from each exposed vertex: its mates (mate[v] is v's partner,
+    or -1), and -1 once it is perfect on alive, else the inner vertices of
+    the first search that fails."""
     mate = [-1] * len(adj)
-    free = full = (1 << len(adj)) - 1
+    free = alive
     for v, row in enumerate(adj):
         m = row & free
         if free >> v & 1 and m:
             u = (m & -m).bit_length() - 1
             mate[v], mate[u] = u, v
             free ^= 1 << v | 1 << u
-    return mate, _augment_all(adj, mate, full)
+    return mate, _augment_all(adj, mate, alive)
 
 
 def _augment_all(adj: tuple[int, ...], mate: list[int], alive: int) -> int:

@@ -44,21 +44,49 @@ MUTANTS = [
         "        return n >= spectral_route_floor(delta)",
         "tests/test_thresholds.py::test_applicability",
     ),
+    # the forced edges read off the degree-3 vertices instead
+    (
+        "src/evenfactor/factor.py",
+        "    two = sum(1 << v for v, row in enumerate(g.adj) if row.bit_count() == 2)",
+        "    two = sum(1 << v for v, row in enumerate(g.adj) if row.bit_count() == 3)",
+        "tests/test_acceptance.py::test_05_oracle_equivalence",
+    ),
+    # the parity test on the components of G, not of G - F: it never fires
+    (
+        "src/evenfactor/factor.py",
+        "    if two and any((c & odd).bit_count() & 1 for c in g.components(full & ~two)):",
+        "    if two and any((c & odd).bit_count() & 1 for c in g.components(full)):",
+        "tests/test_factor.py::TestOracle::test_k23_has_no_even_factor",
+    ),
+    # the even-degree vertices counted and matched instead of the odd ones
+    (
+        "src/evenfactor/factor.py",
+        "    odd = sum(1 << v for v, row in enumerate(g.adj) if row.bit_count() & 1)",
+        "    odd = sum(1 << v for v, row in enumerate(g.adj) if not row.bit_count() & 1)",
+        "tests/test_acceptance.py::test_05_oracle_equivalence",
+    ),
+    # the factor read off the matched edges instead of the others
+    (
+        "src/evenfactor/factor.py",
+        "        return EvenFactorResult(EXISTS, tuple((u, v) for u, v in edges if mate[u] != v), 1)",
+        "        return EvenFactorResult(EXISTS, tuple((u, v) for u, v in edges if mate[u] == v), 1)",
+        "tests/test_acceptance.py::test_09_tightness_reports",
+    ),
     # the gadget without the clique among its inner vertices decides
-    # 2-factors, not even factors
+    # 2-factors, not even factors; test_05 has graphs that reach the gadget
     (
         "src/evenfactor/factor.py",
         "        inner_rows += [p | clique ^ 1 << w for w in range(top, top + d - 2)]",
         "        inner_rows += [p for w in range(top, top + d - 2)]",
-        "tests/test_factor.py::TestGadget::test_agrees_with_the_naive_oracle",
+        "tests/test_acceptance.py::test_05_oracle_equivalence",
     ),
-    # the factor read off the ports matched to inner vertices instead; the
-    # certificate pin runs before the gadget's own tests
+    # the factor read off the ports matched to inner vertices instead; K_5
+    # minus an edge is the first gadget certificate a test verifies
     (
         "src/evenfactor/factor.py",
         "    return tuple(e for i, e in enumerate(edges) if mate[2 * i] == 2 * i + 1)",
         "    return tuple(e for i, e in enumerate(edges) if mate[2 * i] != 2 * i + 1)",
-        "tests/test_cli.py::test_stdout_is_pinned[three-petersen]",
+        "tests/test_factor.py::TestOracle::test_k5_minus_an_edge_is_decided_by_the_gadget",
     ),
 ]
 

@@ -244,8 +244,8 @@ def test_11_paper_range_soundness_sweeps():
 
 
 def test_12_complete_graphs_past_64_kernel_cycles():
-    # K_n for even n >= 32 has a cycle space past 64 dimensions and no
-    # degree-2 vertex, so only a pre-pass probe can find its even factor
+    # K_n for even n >= 32 has a cycle space past 64 dimensions and every
+    # vertex of odd degree: its factor is K_n minus a perfect matching
     t0 = time.time()
     found = {}
     for n in range(32, 65, 2):

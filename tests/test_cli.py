@@ -128,37 +128,39 @@ def test_pipeline_check_even_factor(capsys, monkeypatch):
     code, out, err = run(capsys, ["check", "even-factor"], stdin=g6, monkeypatch=monkeypatch)
     assert (code, err) == (0, "")
     lines = out.splitlines()
-    assert lines[:2] == ["exists", "cost 17"]
+    assert lines[:2] == ["exists", "cost 1"]
     assert all(len(line.split()) == 2 for line in lines[2:])
 
 
-def test_meet_in_the_middle_without_a_factor(capsys):
-    # H7 beside K_7 has no even factor, which meet in the middle (since
-    # removed) had to decide; the gadget decides after 529 pre-pass probes
+def test_h7_beside_k7_is_decided_by_the_gadget(capsys):
+    # H7 beside K_7 has no even factor, yet passes the forced-edge parity
+    # test; H7's odd-degree vertices have no perfect matching, so the
+    # gadget decides, the second perfect-matching test
     code, out, err = run(capsys, ["check", "even-factor", "--graph6", "MYMGg?@?WB_N?^?^_"])
-    assert (code, out, err) == (0, "not_exists\ncost 530\n", "")
+    assert (code, out, err) == (0, "not_exists\ncost 2\n", "")
 
 
 def test_h7_beside_k12_is_decided(capsys):
     # H7 beside K_12: before the gadget, the oracle's dimension cap made
-    # this "unknown" at cost 569, with exit 4
+    # this "unknown", with exit 4
     code, out, err = run(
         capsys, ["check", "even-factor", "--graph6", "RYMGg?@?WB_N?^?^_NwB~?^{@~wB~w"]
     )
-    assert (code, out, err) == (0, "not_exists\ncost 570\n", "")
+    assert (code, out, err) == (0, "not_exists\ncost 2\n", "")
 
 
 @pytest.mark.parametrize(
     "argv, digest",
     [
-        # three Petersen graphs have an even factor, read off the gadget's
-        # perfect matching: every certificate line
+        # three Petersen graphs have an even factor: every vertex has odd
+        # degree, and the graph minus a perfect matching is one; every
+        # certificate line
         (
             [
                 "check", "even-factor", "--graph6",
                 "]heA@GUAo??@?@??_@G?O?@??AO?Ao?@W??????G???_??@???H???G???A????Q???@W???Ao",
             ],
-            "f360180e4bf03c3c5072fb30d7f4fab2e2529c929b8d5b290a95739915a7e71c",
+            "93a786139c747c2c04e32c397b99a7cc6713cdce466cba10eb41d700a80cb10a",
         ),
         # a larger identity grid than the default: delta up to 12, 101,945 checks
         (
@@ -598,20 +600,20 @@ def test_sweep_soundness(capsys, tmp_path):
 @pytest.mark.parametrize(
     "argv, digest",
     [
-        # every row is decided by the oracle's pre-pass
+        # every row is decided by the odd-degree matching
         (
             ["--n", "44", "--delta", "8", "--samples", "50", "--seed", "7"],
-            "da379d1d6dda72bd09269cdb30056879ef8d94dd5c535e6dcdfb5ba5e2f4fb93",
+            "dd6a28d78e510fadc58787e53cc0c9e26f23e89b334c9cdea63f7e2504f7bc1f",
         ),
         # the acceptance sweeps, which repeat draws most (252 and 360 of
         # their 1,000), one per route
         (
             ["--n", "8,10", "--delta", "2", "--samples", "500", "--seed", "42"],
-            "55901594797d2b8cf3ee44526179600eed412f85e86b5c9b43afedec821c1bfa",
+            "93df54894b4d03c9444866e4b132b9e2ba84de523edb6d0e0df695f138839fc8",
         ),
         (
             ["--which", "spectral", "--n", "8,10", "--delta", "2", "--samples", "500", "--seed", "42"],
-            "a2464b112eef9eba4a9ed6f6e509b6f35165c720b01fcebfc8bff2132767b856",
+            "3f6eccb321a76271ff6295ada173c018d3f46ded8ea1d2b3727beefdbe8c55de",
         ),
     ],
     ids=["44-8", "acceptance-edges", "acceptance-spectral"],

@@ -4,6 +4,8 @@ condition with its implication on small even-order graphs."""
 
 import hashlib
 import time
+from collections import Counter
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -65,6 +67,14 @@ def degrees_of(edge_set, n):
         deg[u] += 1
         deg[v] += 1
     return deg
+
+
+def removes_a_perfect_matching_of_the_odd_vertices(g, certificate):
+    """The edges of g outside the certificate are a matching that covers
+    exactly the vertices of odd degree in g."""
+    removed = set(g.edges()) - {(min(e), max(e)) for e in certificate}
+    covered = degrees_of(removed, g.n)
+    return covered == [d % 2 for d in g.degrees()]
 
 
 def forest_corpus():
@@ -295,23 +305,35 @@ class TestOracle:
         assert has_even_factor(g).status == NOT_EXISTS
 
     def test_h7_beside_k5_is_decided_by_the_gadget(self):
-        # no factor (H7's vertex 4 is cut off by forced edges); all 520
-        # pre-pass probes of the dimension-6 coset miss, and the gadget decides
+        # no factor (H7's vertex 4 is cut off by forced edges), though the
+        # forced degrees are even; H7's odd-degree vertices 2, 3, 4, 5 span
+        # only a star, so the odd-degree matching fails and the gadget decides
         res = has_even_factor(disjoint_union([H7, complete(5)]))
-        assert (res.status, res.certificate, res.search_cost) == (NOT_EXISTS, None, 521)
+        assert (res.status, res.certificate, res.search_cost) == (NOT_EXISTS, None, 2)
+
+    def test_k5_minus_an_edge_is_decided_by_the_gadget(self):
+        # its two odd-degree vertices are the ends of the missing edge, so
+        # they have no perfect matching; the gadget finds a factor
+        g = Graph.from_edges(5, [e for e in complete(5).edges() if e != (0, 1)])
+        res = has_even_factor(g)
+        assert (res.status, res.search_cost) == (EXISTS, 2)
+        assert verify_even_factor(g, res.certificate)
 
     def test_k23_has_no_even_factor(self):
         # every vertex sits on a cycle, min degree 2, yet no even spanning
         # subgraph can cover all three degree-2 vertices at once
         k23 = Graph.from_edges(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])
-        assert has_even_factor(k23).status == NOT_EXISTS
+        res = has_even_factor(k23)
+        # all six edges are forced, and the two degree-3 vertices have odd
+        # forced degree: the parity test decides before any matching
+        assert (res.status, res.search_cost) == (NOT_EXISTS, 0)
         assert has_even_factor_naive(k23).status == NOT_EXISTS
 
-    def test_k32_is_decided_by_a_prepass_probe(self):
-        # the 467th pre-pass probe of K_32's dimension-465 coset covers
+    def test_k32_is_decided_by_the_odd_degree_matching(self):
+        # every vertex of K_32 has odd degree: K_32 minus a perfect matching
         k32 = complete(32)
         res = has_even_factor(k32)
-        assert (res.status, res.search_cost) == (EXISTS, 467)
+        assert (res.status, res.search_cost) == (EXISTS, 1)
         assert verify_even_factor(k32, res.certificate)
 
 
@@ -383,8 +405,9 @@ class TestOracleAgreement:
         assert grown > 20
 
 
-# coset dimensions 18, 15, 15 and 21: every pre-pass probe misses, so the
-# gadget decides each one
+# the unions the gadget decided before the odd-degree matching: the Petersen
+# unions now stop at that matching (every vertex has odd degree), and the H7
+# unions still reach the gadget
 GADGET_PARTS = [
     [PETERSEN, PETERSEN, PETERSEN],
     [PETERSEN, PETERSEN, complete(4)],
@@ -436,14 +459,16 @@ class TestGadget:
     @pytest.mark.parametrize(
         "parts, status, cost",
         [
-            (GADGET_PARTS[0], EXISTS, 532),
-            (GADGET_PARTS[1], EXISTS, 529),
-            (GADGET_PARTS[2], NOT_EXISTS, 530),
-            (GADGET_PARTS[3], NOT_EXISTS, 536),
+            (GADGET_PARTS[0], EXISTS, 1),
+            (GADGET_PARTS[1], EXISTS, 1),
+            (GADGET_PARTS[2], NOT_EXISTS, 2),
+            (GADGET_PARTS[3], NOT_EXISTS, 2),
         ],
+        ids=["3-petersen", "2-petersen-k4", "h7-k7", "h7-k8"],
     )
     def test_pinned_result_and_cost(self, parts, status, cost):
-        # every pre-pass probe is charged, and the gadget one more
+        # one perfect-matching test for the odd-degree vertices, and the
+        # gadget one more
         g = disjoint_union(parts)
         res = has_even_factor(g)
         assert (res.status, res.search_cost) == (status, cost)
@@ -453,7 +478,8 @@ class TestGadget:
             assert res.certificate is None
 
     def test_agrees_with_the_naive_oracle(self):
-        # the gadget alone, without the bridge prune, elimination or pre-pass
+        # the gadget alone, without the bridge prune, the parity test or the
+        # odd-degree matching
         found = 0
         for g in min_degree_2_corpus():
             cert = factor._gadget_factor(g)
@@ -470,7 +496,7 @@ class TestGadget:
             # GADGET_PARTS[2:] are H7 beside K_7 and K_8, among the H7 unions
             *GADGET_PARTS[:2],
             *[[H7, complete(m)] for m in range(5, 17)],
-            # dense, with a factor that no pre-pass probe finds
+            # dense, every vertex of odd degree
             [PETERSEN, PETERSEN, PETERSEN, complete(20)],
         ],
         ids=["3-petersen", "2-petersen-k4", *[f"h7-k{m}" for m in range(5, 17)], "3-petersen-k20"],
@@ -503,7 +529,7 @@ class TestForcedEdges:
                 g = parity_gadget(q, k)
                 res = has_even_factor(g)
                 if k % 2:
-                    # odd forced parity at b: decided by elimination alone
+                    # odd forced degree at b: decided by the parity test alone
                     assert (res.status, res.search_cost) == (NOT_EXISTS, 0)
                 else:
                     assert res.status == EXISTS
@@ -511,29 +537,66 @@ class TestForcedEdges:
         assert time.perf_counter() - t0 < 2.0
 
     def test_forced_edges_alone_form_the_factor(self):
-        # the forced edges already are a Hamiltonian cycle: the offset itself
-        # is the certificate, found by the first candidate
+        # the forced edges already are a Hamiltonian cycle: the chord joins
+        # the two odd-degree vertices, and G minus it is the certificate
         g = cycle(9).with_edge(0, 4)
         res = has_even_factor(g)
         assert (res.status, res.search_cost) == (EXISTS, 1)
         assert frozenset(res.certificate) == frozenset(cycle(9).edges())
 
 
-def test_oracle_results_are_pinned():
-    # status, cost and certificate over a corpus that reaches every phase:
-    # the forest corpus (bridge prune, forced parity, pre-pass, gadget),
-    # parity gadgets, the unions only the gadget decides, and K_32, whose
-    # coset has dimension 465
+def pinned_oracle_corpus():
+    """A corpus that reaches every phase: the forest corpus (bridge prune,
+    forced parity, odd-degree matching, gadget), parity gadgets, the
+    GADGET_PARTS unions, and K_32."""
     graphs = forest_corpus()
     graphs += [parity_gadget(q, k) for q in range(4, 10) for k in range(2, 6)]
     graphs += [disjoint_union(parts) for parts in GADGET_PARTS]
     graphs.append(complete(32))
+    return graphs
+
+
+def oracle_equivalence_graphs():
+    """test_acceptance.py::test_05's graphs, in its order: every connected
+    graph on six labelled vertices, then 2,000 connected random draws."""
+    pairs = list(combinations(range(6), 2))
+    for code in range(1 << 15):
+        g = Graph.from_edges(6, [pairs[i] for i in range(15) if code >> i & 1])
+        if g.is_connected():
+            yield g
+    rng = SplitMix64(20240601)
+    randoms = 0
+    while randoms < 2000:
+        n = 7 + rng.randrange(3)
+        g = random_graph_with_edges(n, n + rng.randrange(17 - n), rng)
+        if g.is_connected():
+            randoms += 1
+            yield g
+
+
+def test_oracle_results_are_pinned():
+    # status, cost and certificate over every phase
     lines = "".join(
-        f"{r.status}|{r.search_cost}|{r.certificate}\n" for r in map(has_even_factor, graphs)
+        f"{r.status}|{r.search_cost}|{r.certificate}\n"
+        for r in map(has_even_factor, pinned_oracle_corpus())
     )
     assert hashlib.sha256(lines.encode()).hexdigest() == (
-        "32a6a98bfd59459299e3ef541423d01e803562e084693049124949a958d8782c"
+        "80d57c74544fd50c92b535468145753d27a573223cb1805718116bf4398ac768"
     )
+
+
+def test_odd_degree_matching_certificates():
+    # every cost-1 answer is G minus a perfect matching of its odd-degree
+    # vertices; the other costs are the prunes' 0 and the gadget's 2
+    costs = Counter()
+    for g in [*pinned_oracle_corpus(), *oracle_equivalence_graphs()]:
+        res = has_even_factor(g)
+        costs[res.status, res.search_cost] += 1
+        if res.search_cost == 1:
+            assert res.status == EXISTS
+            assert verify_even_factor(g, res.certificate)
+            assert removes_a_perfect_matching_of_the_odd_vertices(g, res.certificate)
+    assert set(costs) == {(NOT_EXISTS, 0), (EXISTS, 1), (EXISTS, 2), (NOT_EXISTS, 2)}
 
 
 class TestCondition:

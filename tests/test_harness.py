@@ -288,10 +288,10 @@ class TestSoundnessSweep:
     @pytest.mark.parametrize(
         "which, ns, delta, expected",
         [
-            ("edges", [8, 10], 2, "2a43c2da63ab6f99943a0d37a83eecb27c4d51ff0fca6239742257cc8763d044"),
-            ("edges", [14], 3, "25c995f1948e784465672b005f96da6be4d93e6c074aac25f06fdfad8f0ee4ec"),
-            ("spectral", [8, 10], 2, "01ed9fa1152a9be94ff8d9fa7d9f18116b94bc883b834dbdf7c8be6d0fe17d8b"),
-            ("spectral", [14], 3, "259036adb2572bdffccf809ad4bf8b7f50bb52213c66381246e0b47f9f1258fe"),
+            ("edges", [8, 10], 2, "1f155d921e3719cad5450dd0db9560aa2cfa254c2e8181967c35336286419f98"),
+            ("edges", [14], 3, "3a36eeb3cd4d313ae27de873e6a97bcb2366742cd65f3e0259c832c61fa21cca"),
+            ("spectral", [8, 10], 2, "6f73612f58d007b48712c698a7ce1e72bc49fa87ae37424762b88b21bc87c904"),
+            ("spectral", [14], 3, "afa694d37b8bcff0a48f6cb16a3c79fa36f91de1d86184ba549717bdae17e04d"),
         ],
         ids=SOUNDNESS_CASES,
     )
@@ -304,13 +304,14 @@ class TestSoundnessSweep:
     @pytest.mark.parametrize(
         "which, expected",
         [
-            ("edges", "a56f36bc9f80675c514a44b4c0d2b077022652964101473901e401c3ea88b826"),
-            ("spectral", "6ab5b15fa472b916105bfdb568974b5815b371bdf143db6926e09723cb8daa2f"),
+            ("edges", "00341c43fa843102e5830477d7432c7eb6a75f0917a6a53384cb129f467f6bf8"),
+            ("spectral", "e68b8c330b3f246edad86aa349fc602efc2054413b1736f7ea1bd6a698d32c07"),
         ],
+        ids=["edges", "spectral"],
     )
     def test_rows_at_a_large_kernel_are_pinned(self, which, expected):
-        # at (32, 6) every coset dimension is at least 400, and each row is
-        # decided by the oracle's pre-pass
+        # at (32, 6) every cycle space has dimension at least 400, and each
+        # row is decided by the odd-degree matching
         rep = soundness_sweep(ns=[32], delta=6, samples=50, seed=7, which=which)
         assert len(rep.rows) == 50
         assert digest(rows_without_timing(rep)) == expected
@@ -318,10 +319,10 @@ class TestSoundnessSweep:
     @pytest.mark.parametrize(
         "which, ns, delta, expected",
         [
-            ("edges", [8, 10], 2, "1eb536c448436bea83db4e4f65876f2575152df7529e34a5307a1435cda1b4f1"),
-            ("edges", [14], 3, "1f567a6cbcebb142fde15dc6f560023759e23fa651c5af9584b3ca22474aeaa9"),
-            ("spectral", [8, 10], 2, "d628c04e2ff3b1b9740516250f66d053e86ff797a2d37efd0306f41ed3f71400"),
-            ("spectral", [14], 3, "eba07aabc4e96a6e559a9e29f9f4e23c193d9cab85bbe6365b21fc4fb5b8b716"),
+            ("edges", [8, 10], 2, "272dc45464c57bd3f63ac5e0e2cd009bd12dd3a1581449db2d0d74201d731e4d"),
+            ("edges", [14], 3, "a6cc2b7248b8d98585b7296ccbfcc991bc0d567edaed0ea0bc572abe46515329"),
+            ("spectral", [8, 10], 2, "6a54a38d0fdc10fce4b293de3747aa1ba922059d46c197a47725203477e65f03"),
+            ("spectral", [14], 3, "4ccb1cc0d8c1f702b62601278492042b87154af26dd34446aaf9d34a10c28663"),
         ],
         ids=SOUNDNESS_CASES,
     )
@@ -336,14 +337,14 @@ class TestSoundnessSweep:
         [
             # every edge-route draw passes the filter here, so its rows equal
             # the budget-500 pins
-            (1, "edges", [8, 10], 2, 0, "2a43c2da63ab6f99943a0d37a83eecb27c4d51ff0fca6239742257cc8763d044"),
-            (1, "edges", [14], 3, 0, "25c995f1948e784465672b005f96da6be4d93e6c074aac25f06fdfad8f0ee4ec"),
-            (1, "spectral", [8, 10], 2, 52, "795564a401fb6fe441f5dc19be16b2a006ea3e989e69adab05245ee186601ee7"),
-            (1, "spectral", [14], 3, 29, "7a9c6baf302dfc55b3b9f309840d61fc4e3250529c8b951828957cd0ecdbdb12"),
-            (2, "edges", [8, 10], 2, 0, "2a43c2da63ab6f99943a0d37a83eecb27c4d51ff0fca6239742257cc8763d044"),
-            (2, "edges", [14], 3, 0, "25c995f1948e784465672b005f96da6be4d93e6c074aac25f06fdfad8f0ee4ec"),
-            (2, "spectral", [8, 10], 2, 10, "8ce1d00be953fa66f7d8bacbb99378a888bbbc0567f3fc4f8686fc266ff0189c"),
-            (2, "spectral", [14], 3, 7, "fdd5d750326f7fd3c26b269b0f5556dbbd48221a29dd58a55f13b611ad57a957"),
+            (1, "edges", [8, 10], 2, 0, "1f155d921e3719cad5450dd0db9560aa2cfa254c2e8181967c35336286419f98"),
+            (1, "edges", [14], 3, 0, "3a36eeb3cd4d313ae27de873e6a97bcb2366742cd65f3e0259c832c61fa21cca"),
+            (1, "spectral", [8, 10], 2, 52, "5aa313ddd15e25df82dc6816263c27934bcd77065bf9aea1fc70a3710a961fec"),
+            (1, "spectral", [14], 3, 29, "51f7bff28546e2da08ab0cbdd2b6424c64499aec5e9e79bb7a21a2607de752f4"),
+            (2, "edges", [8, 10], 2, 0, "1f155d921e3719cad5450dd0db9560aa2cfa254c2e8181967c35336286419f98"),
+            (2, "edges", [14], 3, 0, "3a36eeb3cd4d313ae27de873e6a97bcb2366742cd65f3e0259c832c61fa21cca"),
+            (2, "spectral", [8, 10], 2, 10, "819f8b295924babdab8209747f7decf1bcddbb69d4bc30da519bd414be26b21a"),
+            (2, "spectral", [14], 3, 7, "2d403b70bb3a7c76cbcec139164ed6441c997203466a19279817de921793d1cd"),
         ],
         ids=[f"budget{b}-{case}" for b in (1, 2) for case in SOUNDNESS_CASES],
     )
@@ -419,10 +420,10 @@ class TestTightnessReport:
     @pytest.mark.parametrize(
         "n, delta, want",
         [
-            (8, 2, "fc85e7edaf5a59f7ca7c2f55e06100d71304b6914af1aa320130042dd57c6ff1"),
-            (10, 2, "96b6f733e5418ce9db099c1963133f4c248fd477e8e02040bb35dab09767b2ec"),
-            (14, 3, "b0600eda665ebf50e9bfe90ac842213d739977bde7d444aee6f0cd4ab545af66"),
-            (20, 4, "72cc72b8f80314b95d3ed58cb8b2875f81d2addb7b75a43ce7aa276ad23fa571"),
+            (8, 2, "6d19d4a33756396d867ce1080faef36c9ab05cb9b317bdbef8c86fe7c3f9f9a8"),
+            (10, 2, "03ea1e8da599914bbf4d9b126bb2bee94c80d6bf57a9db144881fcfd66fda065"),
+            (14, 3, "d8d6f7dd6587b9f0e1dadc24a8acd0627ff7177ceee9273ca43f852689296e31"),
+            (20, 4, "755c8f0990eaea690fb6ed064f54f691fe44bc348cfb005c98959b10144e54fb"),
         ],
         ids=["8-2", "10-2", "14-3", "20-4"],
     )
