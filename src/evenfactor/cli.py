@@ -121,7 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="evenfactor",
         description="Verification lab for size and spectral conditions for even factors",
     )
-    top.add_argument("--jobs", type=int, default=1, help="worker count for sweeps")
     sub = top.add_subparsers(dest="command", required=True)
     # a graph arrives by one of these flags, or on stdin when both are absent
     graph_in = argparse.ArgumentParser(add_help=False)
@@ -271,7 +270,6 @@ def _cmd_sweep(args) -> int:
         samples=args.samples,
         seed=args.seed,
         which=args.which,
-        jobs=args.jobs,
     )
     _write_out(args.out, csv_lines(report))
     print(
@@ -314,8 +312,6 @@ def main(argv: list[str] | None = None) -> int:
         "report": _cmd_report,
     }
     try:
-        if args.jobs < 1:
-            raise ValueError(f"jobs must be at least 1, got {args.jobs}")
         code = dispatch[args.command](args)
         sys.stdout.flush()
         return code

@@ -7,7 +7,10 @@ looks for a vertex on no fundamental cycle of a spanning forest.  Edges are
 numbered in row order, the order of Graph.edges(), and vertex v's
 incidence mask holds the bits of its edges; in a simple graph the masks of
 u and v share exactly the bit of edge uv, which is how the spanning-forest
-walk finds its tree edges.
+walk finds its tree edges.  A graph with n >= 3 and minimum degree at least
+n/2 skips the walk: it is Hamiltonian (Dirac, Some theorems on abstract
+graphs, Proc. London Math. Soc. 2, 1952), so every vertex lies on a cycle,
+and the answer, certificate and cost are those the walk would give.
 
 Both edges at a degree-2 vertex lie in every even factor; call these edges
 F.  An even subgraph containing F exists iff every component of G - F
@@ -136,29 +139,35 @@ def cycle_space_basis(g: Graph) -> list[frozenset[Edge]]:
 def has_even_factor(g: Graph) -> EvenFactorResult:
     """Decide even-factor existence: the bridge prune, the forced-edge parity
     test, a perfect matching of the odd-degree vertices, then Tutte's
-    gadget.  Never "unknown"; search_cost counts the perfect-matching tests
-    run: 0 when a prune decides, 1 for the odd-degree matching, 2 for the
-    gadget."""
+    gadget.  The prune's forest walk is skipped when n >= 3 and the minimum
+    degree is at least n/2 (Dirac), with the same result.  Never "unknown";
+    search_cost counts the perfect-matching tests run: 0 when a prune
+    decides, 1 for the odd-degree matching, 2 for the gadget."""
     n = g.n
     if n == 0:
         return EvenFactorResult(EXISTS, (), 0)
-    edges, incident, basis = _forest(g)
     full = (1 << n) - 1
+    if n < 3 or 2 * g.min_degree() < n:
+        edges, incident, basis = _forest(g)
 
-    def cover(mask: int) -> int:
-        c = 0
-        for v in range(n):
-            if mask & incident[v]:
-                c |= 1 << v
-        return c
+        def cover(mask: int) -> int:
+            c = 0
+            for v in range(n):
+                if mask & incident[v]:
+                    c |= 1 << v
+            return c
 
-    # a vertex on no fundamental cycle lies on no cycle at all: only bridges
-    # remain at it, and no cycle-space element can cover it
-    union = 0
-    for b in basis:
-        union |= cover(b)
-    if union != full:
-        return EvenFactorResult(NOT_EXISTS, None, 0)
+        # a vertex on no fundamental cycle lies on no cycle at all: only
+        # bridges remain at it, and no cycle-space element can cover it
+        union = 0
+        for b in basis:
+            union |= cover(b)
+        if union != full:
+            return EvenFactorResult(NOT_EXISTS, None, 0)
+    else:
+        # Dirac: n >= 3 and minimum degree >= n/2 make g Hamiltonian, so
+        # every vertex lies on a cycle and the prune cannot fire
+        edges = g.edges()
 
     # the edges F at degree-2 vertices lie in every even factor, and the rest
     # of a factor is a T-join of G - F for T the vertices of odd F-degree:

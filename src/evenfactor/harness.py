@@ -8,7 +8,6 @@ column is the one timing-derived (hence nondeterministic) field.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 from math import comb
@@ -211,7 +210,6 @@ def soundness_sweep(
     samples: int,
     seed: int,
     which: str = "edges",
-    jobs: int = 1,
 ) -> SweepReport:
     """Sample connected graphs meeting the requested threshold (uniform over
     the complement-edge budget), then assert the oracle finds an even factor
@@ -230,14 +228,10 @@ def soundness_sweep(
     graphs.
 
     Every n must meet the hypotheses of the route named by `which` (1.1 for
-    edges, 1.2 for spectral).  The oracle runs in up to `jobs` worker
-    processes, never more than there are distinct draws or CPUs this
-    process may run on; the rows do not depend on `jobs`.  At least one n
-    and one sample are required."""
+    edges, 1.2 for spectral).  At least one n and one sample are
+    required."""
     if which not in ("edges", "spectral"):
         raise ValueError(f"which must be edges|spectral, got {which!r}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     ns = list(ns)
@@ -294,22 +288,7 @@ def soundness_sweep(
         if g.adj not in slot:
             slot[g.adj] = len(distinct)
             distinct.append(g)
-    # capped at the CPUs this process may run on (its affinity mask, where
-    # the platform has one) and at the distinct draws: a fork-start pool
-    # launches every worker at the first submit
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    workers = min(jobs, cpus, len(distinct))
-    if workers > 1:
-        # imported here so that loading the package does not pay for it
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_evaluate_oracle, distinct, chunksize=8))
-    else:
-        outcomes = [_evaluate_oracle(g) for g in distinct]
+    outcomes = [_evaluate_oracle(g) for g in distinct]
 
     unknowns = 0
     for row_id, (g, rho, e_thr, rho_thr, is_ext) in enumerate(accepted):

@@ -44,6 +44,22 @@ MUTANTS = [
         "        return n >= spectral_route_floor(delta)",
         "tests/test_thresholds.py::test_applicability",
     ),
+    # Dirac's skip without n >= 3: K_2 has minimum degree 1 = n/2 and would
+    # come back "exists" with an empty certificate
+    (
+        "src/evenfactor/factor.py",
+        "    if n < 3 or 2 * g.min_degree() < n:",
+        "    if 2 * g.min_degree() < n:",
+        "tests/test_factor.py::TestOracle::test_false_certificate_rejected[reversed-duplicate]",
+    ),
+    # the bridge prune reduced to a minimum-degree test: a vertex of degree
+    # 3 on three bridges slips through to the matchings
+    (
+        "src/evenfactor/factor.py",
+        "        if union != full:",
+        "        if min(map(int.bit_count, g.adj)) < 2:",
+        "tests/test_factor.py::TestOracle::test_vertex_on_three_bridges_with_minimum_degree_3",
+    ),
     # the forced edges read off the degree-3 vertices instead
     (
         "src/evenfactor/factor.py",

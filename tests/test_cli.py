@@ -17,10 +17,17 @@ import pytest
 import evenfactor
 from evenfactor import cli, harness
 from evenfactor.cli import main
-from evenfactor.factor import NOT_EXISTS, UNKNOWN, ConditionReport, EvenFactorResult
+from evenfactor.factor import (
+    NOT_EXISTS,
+    UNKNOWN,
+    ConditionReport,
+    EvenFactorResult,
+    verify_even_factor,
+)
 from evenfactor.graph6 import write_graph6
 from evenfactor.graphs import Graph, complete, cycle, extremal, join
 from evenfactor.harness import csv_lines, lemma_merge_sweep, tightness_report
+from evenfactor.rng import SplitMix64, complete_minus_random_edges
 
 # the interpreter arguments that run the CLI in a child
 CLI = ["-m", "evenfactor.cli"]
@@ -42,17 +49,15 @@ def _subprocess_env(**extra) -> dict:
     return env
 
 
-def _spawn(args, stdin=b"", *, address_space=None, cpus=None, timeout=60, **env):
+def _spawn(args, stdin=b"", *, address_space=None, timeout=60, **env):
     """Run `python *args` in a child and return (exit code, stdout, stderr).
 
-    The child alone is limited: `address_space` bytes of RLIMIT_AS, the CPU
-    set `cpus`, and `timeout` seconds; `env` adds environment variables."""
+    The child alone is limited: `address_space` bytes of RLIMIT_AS and
+    `timeout` seconds; `env` adds environment variables."""
 
     def limit():
         if address_space is not None:
             resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
-        if cpus is not None:
-            os.sched_setaffinity(0, cpus)
 
     proc = subprocess.run(
         [sys.executable, *args],
@@ -147,6 +152,23 @@ def test_h7_beside_k12_is_decided(capsys):
         capsys, ["check", "even-factor", "--graph6", "RYMGg?@?WB_N?^?^_NwB~?^{@~wB~w"]
     )
     assert (code, out, err) == (0, "not_exists\ncost 2\n", "")
+
+
+def test_dense_graph_is_decided_within_seconds():
+    # K_500 minus 500 edges has minimum degree far above n/2, so by Dirac's
+    # theorem every vertex lies on a cycle and the oracle skips the forest
+    # walk, whose per-cycle cover loop needs minutes and about 1 GB on it
+    g = complete_minus_random_edges(500, 500, SplitMix64(1))
+    code, out, err = _spawn(
+        [*CLI, "check", "even-factor"],
+        (write_graph6(g) + "\n").encode(),
+        address_space=400 << 20,
+        timeout=30,
+    )
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[:2] == ["exists", "cost 1"]
+    assert verify_even_factor(g, tuple(tuple(map(int, line.split())) for line in lines[2:]))
 
 
 @pytest.mark.parametrize(
@@ -387,18 +409,6 @@ def test_a_draw_fits_in_memory_without_the_pair_list():
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [["threshold", "--n", "8", "--delta", "2", "--edges"], ["verdict", "--graph6", "C~"]],
-    ids=["threshold", "verdict"],
-)
-def test_jobs_below_one_is_a_usage_error_for_every_command(capsys, argv):
-    code, out, err = run(capsys, ["--jobs", "0", *argv])
-    assert code == 2
-    assert out == ""
-    assert err == "usage-error: jobs must be at least 1, got 0\n"
-
-
-@pytest.mark.parametrize(
     "command", [["check", "even-factor"], ["check", "condition"], ["spectral"], ["verdict"]]
 )
 def test_graph6_and_file_exclude_each_other(capsys, tmp_path, command):
@@ -625,31 +635,6 @@ def test_sweep_csv_is_pinned(capsys, tmp_path, argv, digest):
     assert _sha256(_columns_1_to_15(out_path)) == digest
 
 
-SWEEP_14_3 = ["sweep", "soundness", "--n", "14", "--delta", "3", "--samples", "50", "--seed", "1"]
-
-
-@pytest.mark.parametrize("which", ["edges", "spectral"])
-def test_sweep_rows_do_not_depend_on_jobs(capsys, tmp_path, which):
-    argv = [*SWEEP_14_3, "--which", which]
-    j1, j2 = tmp_path / "j1.csv", tmp_path / "j2.csv"
-    assert main(["--jobs", "1", *argv, "--out", str(j1)]) == 0
-    assert main(["--jobs", "2", *argv, "--out", str(j2)]) == 0
-    capsys.readouterr()
-    assert _columns_1_to_15(j1) == _columns_1_to_15(j2)
-
-
-@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs affinity masks")
-def test_sweep_pinned_to_one_cpu_keeps_its_rows(capsys, tmp_path):
-    # pinned to one CPU, --jobs 2 starts no second worker; the rows hold
-    j1, pinned = tmp_path / "j1.csv", tmp_path / "pinned.csv"
-    assert main(["--jobs", "1", *SWEEP_14_3, "--out", str(j1)]) == 0
-    capsys.readouterr()
-    one_cpu = {min(os.sched_getaffinity(0))}
-    code, _, _ = _spawn([*CLI, "--jobs", "2", *SWEEP_14_3, "--out", str(pinned)], cpus=one_cpu)
-    assert code == 0
-    assert _columns_1_to_15(j1) == _columns_1_to_15(pinned)
-
-
 def test_sweep_unknown_rows_exit_4(capsys, monkeypatch, tmp_path):
     # the oracle never answers "unknown"; the tally and exit 4 are kept
     monkeypatch.setattr(harness, "has_even_factor", lambda g: EvenFactorResult(UNKNOWN, None, 1))
@@ -689,11 +674,10 @@ def test_sweep_unknown_rows_exit_4(capsys, monkeypatch, tmp_path):
     ids=["sweep-oracle", "tightness-oracle", "tightness-condition"],
 )
 def test_counterexamples_exit_1(capsys, monkeypatch, tmp_path, argv, patched, value, summary):
-    # a wrong oracle or condition answer must fail the campaign; --jobs 1
-    # keeps the oracle calls in this process, where the patch holds
+    # a wrong oracle or condition answer must fail the campaign
     monkeypatch.setattr(harness, patched, lambda g: value)
     out_path = tmp_path / "failed.out"
-    code, out, _ = run(capsys, ["--jobs", "1", *argv, "--out", str(out_path)])
+    code, out, _ = run(capsys, [*argv, "--out", str(out_path)])
     assert code == 1
     assert out.startswith(summary)
     assert int(out.split("counterexamples=")[1].split()[0]) > 0
@@ -713,20 +697,6 @@ def test_sweep_past_2_64_edges_is_a_usage_error(tmp_path):
     assert (code, out) == (2, "")
     assert err.startswith("usage-error: randrange needs a bound from 1 to 2^64, got ")
     assert err.count("\n") == 1
-    assert not out_path.exists()
-
-
-def test_sweep_jobs_zero_exits_2(capsys, tmp_path):
-    out_path = tmp_path / "j0.csv"
-    code, _, err = run(
-        capsys,
-        [
-            "--jobs", "0", "sweep", "soundness", "--n", "8", "--delta", "2",
-            "--samples", "5", "--out", str(out_path),
-        ],
-    )
-    assert code == 2
-    assert err.startswith("usage-error:")
     assert not out_path.exists()
 
 
@@ -831,13 +801,13 @@ def test_flags_do_not_carry_over_between_calls(capsys, monkeypatch):
         return real_threshold(args)
 
     monkeypatch.setattr(cli, "_cmd_threshold", spy)
-    code, out, _ = run(capsys, ["--jobs", "2", "threshold", "--n", "8", "--delta", "2", "--edges"])
+    code, out, _ = run(capsys, ["threshold", "--n", "8", "--delta", "2", "--edges"])
     assert (code, out) == (0, "23\n")
     code, out, _ = run(capsys, ["threshold", "--n", "8", "--delta", "2"])
     assert code == 0
     assert out.splitlines()[0] == "edges 23"
     assert out.splitlines()[1].startswith("rho 6.09692")
-    assert [(a.jobs, a.edges) for a in seen] == [(2, True), (1, False)]
+    assert [a.edges for a in seen] == [True, False]
     assert seen[0] is not seen[1]
 
 

@@ -304,6 +304,17 @@ class TestOracle:
         )
         assert has_even_factor(g).status == NOT_EXISTS
 
+    def test_vertex_on_three_bridges_with_minimum_degree_3(self):
+        # K_4, K_4 and K_4 hung from one vertex by three bridges (graph6
+        # Lj]?GKF_??_B?F): every degree is at least 3, so only the forest
+        # walk sees that vertex 0 lies on no cycle; it is below Dirac's
+        # bound (3 < 13/2), so the walk runs
+        g = disjoint_union([complete(1), complete(4), complete(4), complete(4)])
+        g = g.with_edge(0, 1).with_edge(0, 5).with_edge(0, 9)
+        assert g.min_degree() == 3
+        res = has_even_factor(g)
+        assert (res.status, res.certificate, res.search_cost) == (NOT_EXISTS, None, 0)
+
     def test_h7_beside_k5_is_decided_by_the_gadget(self):
         # no factor (H7's vertex 4 is cut off by forced edges), though the
         # forced degrees are even; H7's odd-degree vertices 2, 3, 4, 5 span

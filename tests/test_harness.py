@@ -1,4 +1,3 @@
-import concurrent.futures
 import hashlib
 import json
 from collections import Counter
@@ -38,35 +37,6 @@ def csv_digest(report) -> str:
     # floats at print precision, elapsed_ms dropped
     text = "".join(",".join(line.split(",")[:15]) + "\n" for line in csv_lines(report))
     return hashlib.sha256(text.encode()).hexdigest()
-
-
-@pytest.fixture
-def recording_pool(monkeypatch):
-    """Puts a recording stand-in in place of the process pool and returns it."""
-
-    class RecordingPool:
-        """Records each pool's worker count and the items it maps, and runs
-        the work inline; starts no process."""
-
-        started: list[int] = []
-        mapped: list[list] = []
-
-        def __init__(self, max_workers):
-            self.started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items, chunksize=1):
-            items = list(items)
-            self.mapped.append(items)
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    return RecordingPool
 
 
 class TestLemmaMergeSweep:
@@ -184,11 +154,6 @@ class TestSoundnessSweep:
         c = soundness_sweep(ns=[8], delta=2, samples=40, seed=6, which="edges")
         assert rows_without_timing(a) != rows_without_timing(c)
 
-    def test_jobs_do_not_change_rows(self):
-        a = soundness_sweep(ns=[8], delta=2, samples=30, seed=9, which="edges", jobs=1)
-        b = soundness_sweep(ns=[8], delta=2, samples=30, seed=9, which="edges", jobs=2)
-        assert rows_without_timing(a) == rows_without_timing(b)
-
     def test_route_hypotheses_required(self):
         # route 1.1 needs n even; route 1.2 needs n >= 7 at delta = 2
         with pytest.raises(ValueError, match="route 1.1 hypotheses unmet for n=9, delta=2"):
@@ -201,35 +166,8 @@ class TestSoundnessSweep:
             with pytest.raises(ValueError):
                 soundness_sweep(ns=ns, delta=2, samples=samples, seed=9)
 
-    def test_jobs_below_one_rejected(self):
-        for jobs in (0, -3):
-            with pytest.raises(ValueError):
-                soundness_sweep(ns=[8], delta=2, samples=5, seed=9, jobs=jobs)
-
-    @pytest.mark.parametrize(
-        "jobs, cpus, samples, workers",
-        [
-            (64, 4, 30, 4),  # capped by the CPU count
-            (64, 128, 3, 2),  # capped by the number of distinct draws
-            (3, 8, 30, 3),
-            (4, None, 30, None),  # unknown CPU count: one CPU, no pool
-            (2, 8, 1, None),  # one draw: no pool
-        ],
-    )
-    def test_worker_count_is_bounded(
-        self, monkeypatch, recording_pool, jobs, cpus, samples, workers
-    ):
-        # a platform without affinity masks, where the CPU count is the cap
-        monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
-        rep = soundness_sweep(ns=[8], delta=2, samples=samples, seed=9, jobs=jobs)
-        assert recording_pool.started == ([] if workers is None else [workers])
-        assert len(rep.rows) == samples
-        seq = soundness_sweep(ns=[8], delta=2, samples=samples, seed=9, jobs=1)
-        assert rows_without_timing(rep) == rows_without_timing(seq)
-
     @pytest.mark.parametrize("which", ["edges", "spectral"])
-    def test_oracle_runs_once_per_distinct_draw(self, monkeypatch, recording_pool, which):
+    def test_oracle_runs_once_per_distinct_draw(self, monkeypatch, which):
         # K_n minus a few random edges comes up again and again; each distinct
         # graph is decided once, and its repeats copy that outcome.  The
         # oracle's i-th call takes i ms on a fake clock, so a repeat that
@@ -259,31 +197,6 @@ class TestSoundnessSweep:
         assert [row["elapsed_ms"] for row in first.values()] == list(
             range(1, len(distinct) + 1)
         )
-
-        # under a pool, only the distinct graphs are mapped
-        monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
-        calls.clear()
-        pooled = soundness_sweep(
-            ns=[8, 10], delta=2, samples=100, seed=11, which=which, jobs=2
-        )
-        assert recording_pool.started == [2]
-        [mapped] = recording_pool.mapped
-        assert [write_graph6(g) for g in mapped] == distinct
-        assert calls == Counter(distinct)
-        assert rows_without_timing(pooled) == rows_without_timing(rep)
-
-    def test_worker_count_follows_the_affinity_mask(self, monkeypatch):
-        # pinned to one CPU of a machine with eight, as under `taskset -c 0`
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a process pool was started")
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
-        rep = soundness_sweep(ns=[8], delta=2, samples=30, seed=9, jobs=2)
-        seq = soundness_sweep(ns=[8], delta=2, samples=30, seed=9, jobs=1)
-        assert rows_without_timing(rep) == rows_without_timing(seq)
 
     @pytest.mark.parametrize(
         "which, ns, delta, expected",
