@@ -25,7 +25,10 @@ is forced and the parity test does not run.
 Once every degree is at least 2, G minus a perfect matching of its
 odd-degree vertices is an even factor: each odd vertex loses one edge and
 keeps at least 2.  One perfect-matching test on the subgraph the
-odd-degree vertices induce looks for such a matching.
+odd-degree vertices induce looks for such a matching, and the certificate
+is read straight off the adjacency masks: row by row, each vertex's
+neighbours above it less its mate, so the edges come in the order of
+Graph.edges() with no edge list to filter.
 
 When there is none, one perfect-matching test on Tutte's gadget decides.
 An even factor is a parity factor whose degree sets have gaps of length 1,
@@ -142,13 +145,15 @@ def has_even_factor(g: Graph) -> EvenFactorResult:
     gadget.  The prune's forest walk is skipped when n >= 3 and the minimum
     degree is at least n/2 (Dirac), with the same result.  Never "unknown";
     search_cost counts the perfect-matching tests run: 0 when a prune
-    decides, 1 for the odd-degree matching, 2 for the gadget."""
+    decides, 1 for the odd-degree matching, 2 for the gadget.  A cost-1
+    certificate is g minus that matching, read off g.adj row by row in the
+    order of g.edges(); a cost-2 one is the gadget's factor in that order."""
     n = g.n
     if n == 0:
         return EvenFactorResult(EXISTS, (), 0)
     full = (1 << n) - 1
     if n < 3 or 2 * g.min_degree() < n:
-        edges, incident, basis = _forest(g)
+        _, incident, basis = _forest(g)
 
         def cover(mask: int) -> int:
             c = 0
@@ -164,10 +169,8 @@ def has_even_factor(g: Graph) -> EvenFactorResult:
             union |= cover(b)
         if union != full:
             return EvenFactorResult(NOT_EXISTS, None, 0)
-    else:
-        # Dirac: n >= 3 and minimum degree >= n/2 make g Hamiltonian, so
-        # every vertex lies on a cycle and the prune cannot fire
-        edges = g.edges()
+    # otherwise Dirac: n >= 3 and minimum degree >= n/2 make g Hamiltonian,
+    # so every vertex lies on a cycle and the prune cannot fire
 
     # the edges F at degree-2 vertices lie in every even factor, and the rest
     # of a factor is a T-join of G - F for T the vertices of odd F-degree:
@@ -176,8 +179,11 @@ def has_even_factor(g: Graph) -> EvenFactorResult:
     # them G - F is G's induced subgraph, where a component holds as many
     # vertices of odd F-degree as of odd degree, mod 2 (handshake lemma).
     # With no degree-2 vertex that count is even in every component of G
-    odd = sum(1 << v for v, row in enumerate(g.adj) if row.bit_count() & 1)
-    two = sum(1 << v for v, row in enumerate(g.adj) if row.bit_count() == 2)
+    odd = two = 0
+    for v, row in enumerate(g.adj):
+        d = row.bit_count()
+        odd |= (d & 1) << v
+        two |= (d == 2) << v
     if two and any((c & odd).bit_count() & 1 for c in g.components(full & ~two)):
         return EvenFactorResult(NOT_EXISTS, None, 0)
 
@@ -185,7 +191,18 @@ def has_even_factor(g: Graph) -> EvenFactorResult:
     # matching of the odd-degree vertices leaves an even factor
     mate, failed = _perfect_matching(g.adj, odd)
     if failed < 0:
-        return EvenFactorResult(EXISTS, tuple((u, v) for u, v in edges if mate[u] != v), 1)
+        # g minus the matching, read off the rows in the order of g.edges():
+        # v's neighbours above v, less its mate
+        cert = []
+        for v, row in enumerate(g.adj):
+            m = row >> v + 1 << v + 1
+            if mate[v] > v:
+                m ^= 1 << mate[v]
+            while m:
+                b = m & -m
+                cert.append((v, b.bit_length() - 1))
+                m ^= b
+        return EvenFactorResult(EXISTS, tuple(cert), 1)
     cert = _gadget_factor(g)
     return EvenFactorResult(NOT_EXISTS if cert is None else EXISTS, cert, 2)
 

@@ -216,16 +216,20 @@ def soundness_sweep(
     on every non-extremal draw.  Extremal draws are logged, not asserted.
 
     Both routes sample in rounds: each n draws one graph per sample still
-    open and computes the radii of the draws that pass the min-degree and
-    connectivity filter in one spectral_radii call, then walks the draws in
-    order through the per-sample accept and RETRY_BUDGET logic.  Every open
-    sample needs at least one more draw, so a round never draws past the
-    last one used and the rows equal a draw-at-a-time loop's bit for bit.
+    open and computes the radii of the new draws that pass the min-degree
+    and connectivity filter in one spectral_radii call (none when no draw
+    is new), then walks the draws in order through the per-sample accept
+    and RETRY_BUDGET logic.  Every open sample needs at least one more draw,
+    so a round never draws past the last one used and the rows equal a
+    draw-at-a-time loop's bit for bit.
 
-    The oracle runs once per distinct graph of the sweep, and a repeated
-    draw's row repeats its first occurrence's outcome, elapsed_ms included;
-    nothing is kept across calls.  findings["distinct_graphs"] counts those
-    graphs.
+    Each distinct graph of the sweep is filtered once, solved for its radius
+    once and, if a sample accepts it, encoded to graph6, recognised and
+    decided by the oracle once; a repeated draw reuses those results, so its
+    row repeats every cell of its first occurrence's row but row_id,
+    elapsed_ms included.  Nothing is kept across calls.  findings["draws"] counts every graph drawn,
+    accepted, rejected or repeated, and findings["distinct_graphs"] the
+    distinct graphs among the rows.
 
     Every n must meet the hypotheses of the route named by `which` (1.1 for
     edges, 1.2 for spectral).  At least one n and one sample are
@@ -250,8 +254,12 @@ def soundness_sweep(
         },
     )
     rng = SplitMix64(seed)
-    accepted: list[tuple[Graph, float, int, float, bool]] = []
-    sampler_failures = 0
+    # memo[adj]: what the sweep knows of the first draw with that adjacency,
+    # for its repeats: None if it fails the filter, else [rho, row], row
+    # set to its first row once a sample accepts the graph.  The graph
+    # fixes n and with it every cell but row_id, so each later row is a copy
+    memo: dict[tuple[int, ...], list | None] = {}
+    draws = distinct = sampler_failures = 0
     for n in ns:
         e_thr = edge_threshold(n, delta)
         rho_thr = spectral_threshold(n, delta)
@@ -260,63 +268,67 @@ def soundness_sweep(
         attempts = 0  # rejected draws of the sample now open
         while left:
             # one draw per open sample: each needs at least one more
-            kept = []
+            drawn, fresh = [], []
             for _ in range(left):
                 k = rng.randrange(budget + 1)
                 g = complete_minus_random_edges(n, k, rng)
-                kept.append(g if (g.min_degree() or 0) >= delta and g.is_connected() else None)
-            radii = iter(spectral_radii([g for g in kept if g is not None]))
-            for g in kept:
-                rho = None if g is None else next(radii).rho
+                if g.adj in memo:
+                    entry = memo[g.adj]
+                # minimum degree (n - 1)/2 or more connects g: two vertices
+                # that are not adjacent have n - 1 neighbours among the n - 2
+                # others, so they share one
+                elif (low := g.min_degree() or 0) >= delta and (2 * low >= n - 1 or g.is_connected()):
+                    entry = memo[g.adj] = [None, None]
+                    fresh.append((g, entry))
+                else:
+                    entry = memo[g.adj] = None
+                drawn.append((g, entry))
+            draws += left
+            if fresh:
+                for (_, entry), res in zip(fresh, spectral_radii([g for g, _ in fresh])):
+                    entry[0] = res.rho
+            for g, entry in drawn:
                 # the edge route accepts a draw whatever its rho
-                if rho is None or (which == "spectral" and not meets_spectral(rho, rho_thr)):
+                if entry is None or (which == "spectral" and not meets_spectral(entry[0], rho_thr)):
                     attempts += 1
                     if attempts < RETRY_BUDGET:
                         continue
                     sampler_failures += 1
                 else:
-                    is_ext = recognize_extremal(g) == (n, delta)
-                    accepted.append((g, rho, e_thr, rho_thr, is_ext))
+                    rho, row = entry
+                    if row is None:
+                        status, cost, ms = _evaluate_oracle(g)
+                        row = entry[1] = _row(
+                            report.campaign,
+                            seed,
+                            len(report.rows),
+                            g,
+                            rho=rho,
+                            e_thr=e_thr,
+                            rho_thr=rho_thr,
+                            meets_e=g.edge_count >= e_thr,
+                            meets_rho=meets_spectral(rho, rho_thr),
+                            is_extremal=recognize_extremal(g) == (n, delta),
+                            oracle=status,
+                            cost_candidates=cost,
+                            elapsed_ms=ms,
+                        )
+                        distinct += 1
+                    report.rows.append(dict(row, row_id=len(report.rows)))
                 left -= 1
                 attempts = 0
 
-    # slot[adj]: where in distinct the first draw with that adjacency sits,
-    # and so where its outcome will be
-    slot: dict[tuple[int, ...], int] = {}
-    distinct: list[Graph] = []
-    for g, *_ in accepted:
-        if g.adj not in slot:
-            slot[g.adj] = len(distinct)
-            distinct.append(g)
-    outcomes = [_evaluate_oracle(g) for g in distinct]
-
     unknowns = 0
-    for row_id, (g, rho, e_thr, rho_thr, is_ext) in enumerate(accepted):
-        status, cost, ms = outcomes[slot[g.adj]]
-        row = _row(
-            report.campaign,
-            seed,
-            row_id,
-            g,
-            rho=rho,
-            e_thr=e_thr,
-            rho_thr=rho_thr,
-            meets_e=g.edge_count >= e_thr,
-            meets_rho=meets_spectral(rho, rho_thr),
-            is_extremal=is_ext,
-            oracle=status,
-            cost_candidates=cost,
-            elapsed_ms=ms,
-        )
-        report.rows.append(row)
-        if status == UNKNOWN:
+    for row in report.rows:
+        if row["oracle"] == UNKNOWN:
             unknowns += 1
-        elif not is_ext and status != EXISTS:
+        elif not row["is_extremal"] and row["oracle"] != EXISTS:
             report.counterexamples.append(row)
     report.findings["sampler_failures"] = sampler_failures
     report.findings["unknown_rows"] = unknowns
-    report.findings["extremal_draws"] = sum(1 for *_, ext in accepted if ext)
-    report.findings["distinct_graphs"] = len(distinct)
+    report.findings["extremal_draws"] = sum(1 for row in report.rows if row["is_extremal"])
+    report.findings["distinct_graphs"] = distinct
+    report.findings["draws"] = draws
     return report
 
 

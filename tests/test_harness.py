@@ -274,25 +274,76 @@ class TestSoundnessSweep:
 
     def test_spectral_route_batches_its_radii(self, monkeypatch):
         # one spectral_radii call per sampling round, not one radius call
-        # per draw: each round draws one graph per sample still open
+        # per draw: each round draws one graph per sample still open and
+        # sends the draws not seen before that pass the filter
         calls = []
         real = harness.spectral_radii
+        drawn = {}
+        real_sample = harness.complete_minus_random_edges
 
         def counting(graphs):
             graphs = list(graphs)
             calls.append((graphs[0].n, len(graphs)))
             return real(graphs)
 
+        def sampling(n, k, rng):
+            g = real_sample(n, k, rng)
+            drawn[g.adj] = g
+            return g
+
         monkeypatch.setattr(harness, "spectral_radii", counting)
+        monkeypatch.setattr(harness, "complete_minus_random_edges", sampling)
         rep = soundness_sweep(ns=[8, 10], delta=2, samples=100, seed=11, which="spectral")
         assert not hasattr(harness, "spectral_radius")
         for n in (8, 10):
             assert sum(1 for m, _ in calls if m == n) < 25
         assert calls == [
-            (8, 100), (8, 23), (8, 5), (8, 1),
-            (10, 100), (10, 31), (10, 6), (10, 1), (10, 1),
+            (8, 84), (8, 16), (8, 3), (8, 1),
+            (10, 80), (10, 27), (10, 4), (10, 1), (10, 1),
         ]
-        assert len(rep.rows) == 200 <= sum(size for _, size in calls)
+        passing = [g for g in drawn.values() if g.min_degree() >= 2 and g.is_connected()]
+        assert sum(size for _, size in calls) == len(passing)
+        assert len(rep.rows) == 200
+
+    @pytest.mark.parametrize("which", ["edges", "spectral"])
+    def test_each_distinct_graph_is_encoded_recognised_and_solved_once(self, monkeypatch, which):
+        # a repeated draw reuses its first occurrence's radius and, once a
+        # sample has accepted the graph, its graph6 cell and extremal flag
+        drawn, solved, encoded, recognised = [], Counter(), Counter(), Counter()
+        real_sample = harness.complete_minus_random_edges
+        real_radii = harness.spectral_radii
+        real_encode = harness.write_graph6
+        real_recognise = harness.recognize_extremal
+
+        def sampling(n, k, rng):
+            g = real_sample(n, k, rng)
+            drawn.append(g.adj)
+            return g
+
+        def radii(graphs):
+            graphs = list(graphs)
+            solved.update(g.adj for g in graphs)
+            return real_radii(graphs)
+
+        def encode(g):
+            encoded[g.adj] += 1
+            return real_encode(g)
+
+        def recognise(g):
+            recognised[g.adj] += 1
+            return real_recognise(g)
+
+        monkeypatch.setattr(harness, "complete_minus_random_edges", sampling)
+        monkeypatch.setattr(harness, "spectral_radii", radii)
+        monkeypatch.setattr(harness, "write_graph6", encode)
+        monkeypatch.setattr(harness, "recognize_extremal", recognise)
+        rep = soundness_sweep(ns=[8, 10], delta=2, samples=100, seed=11, which=which)
+        rows = [parse_graph6(row["graph6"]).adj for row in rep.rows]
+        assert len(set(drawn)) < len(drawn) == rep.findings["draws"]
+        assert len(set(rows)) == rep.findings["distinct_graphs"] < len(rows)
+        assert set(solved) >= set(rows)
+        assert max(solved.values()) == 1
+        assert encoded == recognised == Counter(set(rows))
 
     def test_rows_recompute_from_graph6(self):
         rep = soundness_sweep(ns=[8], delta=2, samples=40, seed=3, which="edges")
